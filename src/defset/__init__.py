@@ -16,9 +16,8 @@ from .codes import (DefiningSet, VerifyReport, WeightDistribution,
                     distribution_csv, dual_distance_two, export_defining_set,
                     power_moment_check, secret_sharing_ratio, weight_of,
                     weight_enumerator_string)
-from .cyclotomic import (ClosedGauss, CycInt, additive_char_sum, cyc_add, cyc_mul,
-                         cyc_root, cyc_scale, embed_complex, gauss_closed,
-                         gauss_sum_exact)
+from .cyclotomic import (ClosedGauss, CycInt, cyc_mul, cyc_root, embed_complex,
+                         gauss_closed, gauss_sum_exact)
 from .errors import (CaseMismatch, DefSetError, DegreeTooSmall, EmptyDistribution,
                      FieldTooLarge, NonIntegralTableEntry, NotOddPrime,
                      PrimeMismatch)
@@ -31,10 +30,9 @@ __all__ = [
     "DefSetError", "DefiningSet", "DegreeTooSmall", "EmptyDistribution", "FieldCtx",
     "FieldTooLarge", "G_even", "GGbar_odd", "NonIntegralTableEntry", "NotOddPrime",
     "PredictedDistribution", "PrimeMismatch", "VerifyReport", "WeightDistribution",
-    "additive_char_sum", "brute_weight_distribution", "build_field", "classify",
-    "codeword", "count_Nb", "cyc_add", "cyc_mul", "cyc_root", "cyc_scale",
-    "defining_set", "distribution_csv", "dual_distance_two", "embed_complex",
-    "export_defining_set", "field", "gauss_closed", "gauss_sum_exact",
+    "brute_weight_distribution", "build_field", "classify", "codeword", "count_Nb",
+    "cyc_mul", "cyc_root", "defining_set", "distribution_csv", "dual_distance_two",
+    "embed_complex", "export_defining_set", "field", "gauss_closed", "gauss_sum_exact",
     "is_irreducible", "legendre", "lemma10_N0a", "lemma11_counts", "lemma12_V",
     "lemma16_uc", "lemma17_vc", "lemma8_value", "lemma9_B", "lemma_Nb_predicted",
     "oracle", "power_moment_check", "predicted_distribution", "predicted_length",

@@ -17,11 +17,10 @@ from .codes import (LemmaCheck, VerifyReport, brute_weight_distribution, count_N
                     defining_set, distribution_csv, dual_distance_two,
                     export_defining_set, power_moment_check, secret_sharing_ratio,
                     weight_enumerator_string)
-from .closed_form import (CaseTag, THEOREM_NUMBER, classify, lemma8_value, lemma9_B,
-                          lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc,
-                          lemma17_vc, lemma_Nb_predicted, oracle,
-                          predicted_distribution, realized_b_classes,
-                          PredictedDistribution)
+from .closed_form import (ORACLES, CaseTag, THEOREM_NUMBER, classify, lemma8_value,
+                          lemma9_B, lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc,
+                          lemma17_vc, lemma_Nb_predicted, predicted_distribution,
+                          realized_b_classes, PredictedDistribution)
 from .cyclotomic import CycInt, embed_complex, gauss_closed, gauss_sum_exact
 from .errors import DefSetError, FieldTooLarge
 from .fields import DEFAULT_MAX_Q, field
@@ -44,32 +43,32 @@ _NB_LEMMA_ID = {
 # --- verification ------------------------------------------------------------
 
 def run_lemma_suite(ctx) -> list[LemmaCheck]:
-    """Compare every applicable closed form against its enumeration oracle."""
+    """Compare every applicable closed form against its enumeration oracle on ctx."""
     p, m = ctx.p, ctx.m
     out: list[LemmaCheck] = []
 
     def add(check_id, params, closed, brute):
         out.append(LemmaCheck(check_id, params, closed, brute, closed == brute))
 
-    add("lemma8", {}, lemma8_value(p, m), oracle("lemma8", p, m))
+    add("lemma8", {}, lemma8_value(p, m), ORACLES["lemma8"](ctx))
     nb_id = _NB_LEMMA_ID[classify(p, m)]
     classes = realized_b_classes(ctx)
     for cls in sorted(classes, key=lambda c: (c.t2, c.t1, c.disc)):
         b = classes[cls]
         params = {"t2": cls.t2, "t1": cls.t1, "disc": cls.disc, "b": b}
-        add("lemma9", params, lemma9_B(p, m, cls), oracle("lemma9", p, m, b=b))
+        add("lemma9", params, lemma9_B(p, m, cls), ORACLES["lemma9"](ctx, b=b))
         add(nb_id, params, lemma_Nb_predicted(p, m, cls), count_Nb(ctx, b))
     for a in range(p):
-        add("lemma10", {"a": a}, lemma10_N0a(p, m, a), oracle("lemma10", p, m, a=a))
-    add("lemma11", {}, list(lemma11_counts(p, m)), list(oracle("lemma11", p, m)))
+        add("lemma10", {"a": a}, lemma10_N0a(p, m, a), ORACLES["lemma10"](ctx, a=a))
+    add("lemma11", {}, list(lemma11_counts(p, m)), list(ORACLES["lemma11"](ctx)))
     if m % p != 0:
-        add("lemma12", {}, lemma12_V(p, m), oracle("lemma12", p, m))
+        add("lemma12", {}, lemma12_V(p, m), ORACLES["lemma12"](ctx))
     if m % 2 == 1:
         for c in range(p):
-            add("lemma16", {"c": c}, lemma16_uc(p, m, c), oracle("lemma16", p, m, c=c))
+            add("lemma16", {"c": c}, lemma16_uc(p, m, c), ORACLES["lemma16"](ctx, c=c))
         if m % p == 0:
             for c in range(1, p):
-                add("lemma17", {"c": c}, lemma17_vc(p, m, c), oracle("lemma17", p, m, c=c))
+                add("lemma17", {"c": c}, lemma17_vc(p, m, c), ORACLES["lemma17"](ctx, c=c))
     return out
 
 
@@ -255,10 +254,15 @@ class _Settings:
             if flag_value is not None:
                 return flag_value
             if env_name and env.get(env_name):
-                return cast(env[env_name])
-            if cfg_name in cfg:
-                return cast(cfg[cfg_name])
-            return default
+                raw, source = env[env_name], f"environment variable {env_name}"
+            elif cfg_name in cfg:
+                raw, source = cfg[cfg_name], f"config key {cfg_name!r}"
+            else:
+                return default
+            try:
+                return cast(raw)
+            except ValueError:
+                raise DefSetError(f"bad value {raw!r} for {source}") from None
 
         self.max_q = pick(getattr(args, "max_q", None), "CAP", "max_q", DEFAULT_MAX_Q, int)
         self.jobs = pick(getattr(args, "jobs", None), "JOBS", "jobs", 1, int)

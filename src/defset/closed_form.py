@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import WeightDistribution, count_Nb
+from .codes import WeightDistribution
 from .cyclotomic import CycInt
 from .errors import CaseMismatch, NonIntegralTableEntry
 from .fields import FieldCtx, field, legendre
@@ -57,20 +57,20 @@ class BClass:
 
     @classmethod
     def from_element(cls, ctx: FieldCtx, b: int) -> BClass:
-        t2 = ctx.trace(ctx.square(b))
-        t1 = ctx.trace(b)
+        t2 = int(ctx.trace_x2[b])
+        t1 = int(ctx.trace_table[b])
         return cls(t2, t1, (t1 * t1 - ctx.m * t2) % ctx.p == 0)
 
 
 def realized_b_classes(ctx: FieldCtx) -> dict[BClass, int]:
-    """Every BClass realized by some b in F_q*, with its smallest representative."""
-    t1 = ctx.trace_table
-    t2 = ctx.trace_x2
-    out: dict[BClass, int] = {}
-    for b in range(1, ctx.q):
-        cls = BClass(int(t2[b]), int(t1[b]), (int(t1[b]) ** 2 - ctx.m * int(t2[b])) % ctx.p == 0)
-        out.setdefault(cls, b)
-    return out
+    """Every BClass realized by some b in F_q*, with its smallest representative.
+
+    The class of b depends only on (tr(b^2), tr(b)), so the first b with each
+    pair represents it.
+    """
+    key = ctx.trace_x2[1:].astype(np.int64) * ctx.p + ctx.trace_table[1:]
+    _, first = np.unique(key, return_index=True)
+    return {BClass.from_element(ctx, b): b for b in (np.sort(first) + 1).tolist()}
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -403,11 +403,8 @@ def _oracle_lemma17(ctx: FieldCtx, c: int) -> int:
     return int(np.count_nonzero((ctx.trace_x2 == c % ctx.p) & (ctx.trace_table == 0)))
 
 
-def _oracle_nb(ctx: FieldCtx, b: int) -> int:
-    return count_Nb(ctx, b)
-
-
-_ORACLES = {
+# the enumeration oracle of each lemma kind, evaluated on a given FieldCtx
+ORACLES = {
     "lemma8": _oracle_lemma8,
     "lemma9": _oracle_lemma9,
     "lemma10": _oracle_lemma10,
@@ -415,18 +412,13 @@ _ORACLES = {
     "lemma12": _oracle_lemma12,
     "lemma16": _oracle_lemma16,
     "lemma17": _oracle_lemma17,
-    "lemma13": _oracle_nb,
-    "lemma14": _oracle_nb,
-    "lemma15": _oracle_nb,
-    "lemma18": _oracle_nb,
-    "lemma_nb": _oracle_nb,
 }
 
 
 def oracle(kind: str, p: int, m: int, **params):
     """Ground truth for a lemma by direct enumeration over the shared field cache."""
     try:
-        fn = _ORACLES[kind]
+        fn = ORACLES[kind]
     except KeyError:
         raise ValueError(f"unknown oracle kind {kind!r}") from None
     return fn(field(p, m), **params)

@@ -95,7 +95,7 @@ def brute_weight_distribution(ds: DefiningSet, cap: int | None = None) -> Weight
         raise FieldTooLarge(f"p^m = {ctx.q} exceeds the enumeration cap {cap}")
     q1 = ctx.q - 1
     d_logs = ctx.log[ds.elements]
-    t_exp = ctx.trace_by_exponent
+    t_exp = ctx.trace_table[ctx.antilog]
     weights = np.zeros(ctx.q, dtype=np.int64)  # b = 0 stays at weight 0
     buf = np.empty(ds.n, dtype=np.int64)
     for k in range(q1):
@@ -122,12 +122,10 @@ def dual_distance_two(ds: DefiningSet) -> bool:
     ctx = ds.ctx
     if ds.n < 2:
         return False
-    q1 = ctx.q - 1
-    d_logs = ctx.log[ds.elements]
-    reps = None
-    for lam in range(1, ctx.p):
-        cand = ctx.antilog[(d_logs + ctx.log[lam]) % q1]
-        reps = cand if reps is None else np.minimum(reps, cand)
+    # the smallest index of each F_p*-orbit names the orbit
+    reps = ds.elements
+    for lam in range(2, ctx.p):
+        reps = np.minimum(reps, ctx.scale(ds.elements, lam))
     return int(np.unique(reps).size) < ds.n
 
 

@@ -148,10 +148,14 @@ def irreducible_polys(p: int, m: int) -> Iterator[list[int]]:
 class FieldCtx:
     """A concrete realization of F_(p^m).
 
-    Holds the modulus polynomial, log/antilog tables for a fixed generator,
-    the full trace table, and the digit decomposition of every index.
-    Instances are immutable after construction and safe to share across
-    threads; all operations are pure reads.
+    The checks read the field through forms on the digit vector of an index.
+    With t_k = tr(alpha^k), the trace of the k-th power of the modulus's
+    companion matrix, tr(x) = sum x_i t_i, tr(x^2) is the quadratic form with
+    Q_ij = t_(i+j), and tr(b*x) is bilinear in the digits of b and x.  The
+    log/antilog tables of a fixed generator serve only the scalar
+    multiplicative API and the brute-force kernels, and are built on first
+    use.  No table changes once built, so contexts are safe to share across
+    threads (two threads that first read a table at once may both build it).
     """
 
     def __init__(self, p: int, m: int, max_q: int = DEFAULT_MAX_Q,
@@ -176,87 +180,81 @@ class FieldCtx:
         self.modulus: tuple[int, ...] = tuple(modulus)
 
         self._pows = p ** np.arange(m, dtype=np.int64)
-        idx = np.arange(q, dtype=np.int64)
-        self._digits = ((idx[:, None] // self._pows[None, :]) % p).astype(np.int16)
-        self.neg_table = (((-self._digits) % p).astype(np.int64) @ self._pows)
+        # row x holds the digits of index x; each digit column is contiguous
+        self._digits = np.indices((p,) * m, dtype=np.int16).reshape(m, q)[::-1].T
 
-        self.generator = self._find_generator()
-        self.antilog, self.log = self._build_log_tables()
-        self.trace_table = self._build_trace_table()
+        # multiplication by alpha on coefficient vectors, and its powers C^k, k < 2m-1
+        comp = np.eye(m, k=-1, dtype=np.int64)
+        comp[:, -1] = np.negative(self.modulus[:m]) % p
+        self._comp_pows = [np.eye(m, dtype=np.int64)]
+        for _ in range(2 * m - 2):
+            self._comp_pows.append(comp @ self._comp_pows[-1] % p)
+        t = np.array([np.trace(c) % p for c in self._comp_pows], dtype=np.int64)
+        self._trace_form = t[np.add.outer(np.arange(m), np.arange(m))]
 
+        self.trace_table = self._mod_p(self._linear_form(t[:m]))
         assert self.trace_table[0] == 0
         assert self.trace_table[1] == m % p
 
-    # -- construction helpers -------------------------------------------------
+    # -- digit forms ------------------------------------------------------------
 
-    def _idx_to_poly(self, a: int) -> list[int]:
-        p = self.p
-        out = []
-        while a:
-            a, r = divmod(a, p)
-            out.append(r)
-        return out
+    def _linear_form(self, c: np.ndarray) -> np.ndarray:
+        """sum_i c_i * x_i for every index x, unreduced, one digit column at a time."""
+        acc = np.zeros(self.q, dtype=np.int64)
+        for ci, col in zip(np.asarray(c, dtype=np.int64), self._digits.T):
+            if ci:
+                acc += ci * col
+        return acc
 
-    def _poly_to_idx(self, f: Sequence[int]) -> int:
-        return sum(c * self.p ** i for i, c in enumerate(f))
+    def _mod_p(self, values: np.ndarray) -> np.ndarray:
+        return (values % self.p).astype(np.int16)
 
-    def _pow_idx(self, a: int, e: int) -> int:
-        # exponentiation in the polynomial representation (log tables not built yet)
-        r = _powmod(self._idx_to_poly(a), e, list(self.modulus), self.p)
-        return self._poly_to_idx(r)
+    # -- multiplicative tables, built on first use ------------------------------
 
-    def _find_generator(self) -> int:
-        # smallest canonical index of multiplicative order q-1
+    @cached_property
+    def generator(self) -> int:
+        """The smallest canonical index of multiplicative order q-1."""
         q1 = self.q - 1
         exps = [q1 // r for r in _prime_factors(q1)]
+        f = list(self.modulus)
         for g in range(2, self.q):
-            if all(self._pow_idx(g, e) != 1 for e in exps):
+            poly = list(self.element_digits(g))
+            if all(self.element_from_digits(_powmod(poly, e, f, self.p)) != 1 for e in exps):
                 return g
         raise AssertionError("no multiplicative generator found")
 
-    def _build_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        p, m, q = self.p, self.m, self.q
-        f = list(self.modulus)
-        g_poly = self._idx_to_poly(self.generator)
-        # multiplication by g is linear on coefficient vectors
-        mul_g = np.zeros((m, m), dtype=np.int64)
-        for j in range(m):
-            col = _mulmod([0] * j + [1], g_poly, f, p)
-            mul_g[: len(col), j] = col
-        antilog = np.empty(q - 1, dtype=np.int64)
-        v = np.zeros(m, dtype=np.int64)
-        v[0] = 1
-        for k in range(q - 1):
-            antilog[k] = v @ self._pows
-            v = (mul_g @ v) % p
-        assert v[0] == 1 and not v[1:].any(), "generator order is not q-1"
-        log = np.full(q, -1, dtype=np.int64)
-        log[antilog] = np.arange(q - 1, dtype=np.int64)
-        assert (log[1:] >= 0).all(), "antilog table is not a permutation of F_q*"
-        return antilog, log
+    @cached_property
+    def antilog(self) -> np.ndarray:
+        """g^k for k = 0 .. q-2, built by doubling: block [n, 2n) is g^n times block [0, n)."""
+        p, m, q1 = self.p, self.m, self.q - 1
+        g = self._digits[self.generator].astype(np.int64)
+        step = sum(gi * c for gi, c in zip(g, self._comp_pows)) % p
+        cols = np.zeros((m, 1), dtype=np.int64)
+        cols[0, 0] = 1
+        while cols.shape[1] < q1:
+            n = cols.shape[1]
+            cols = np.hstack([cols, step @ cols[:, :q1 - n] % p])
+            step = step @ step % p
+        return self._pows @ cols
 
-    def _build_trace_table(self) -> np.ndarray:
-        # Tr(x) = sum of the m Frobenius images, added coefficient-wise
-        acc = self._digits.astype(np.int64).copy()
-        cur = np.arange(self.q, dtype=np.int64)
-        for _ in range(self.m - 1):
-            cur = self.frobenius(cur)
-            acc += self._digits[cur]
-        acc %= self.p
-        assert not acc[:, 1:].any(), "trace landed outside the prime subfield"
-        return acc[:, 0].astype(np.int16)
+    @cached_property
+    def log(self) -> np.ndarray:
+        """log_g(x) for every index x; -1 at 0."""
+        log = np.full(self.q, -1, dtype=np.int64)
+        log[self.antilog] = np.arange(self.q - 1, dtype=np.int64)
+        assert (log[1:] >= 0).all(), "antilog table is not a permutation of F_q*"
+        return log
 
     # -- scalar arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        s = (self._digits[a] + self._digits[b]) % self.p
-        return int(s.astype(np.int64) @ self._pows)
+        return self.element_from_digits((self._digits[a] + self._digits[b]).tolist())
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, int(self.neg_table[b]))
+        return self.element_from_digits((self._digits[a] - self._digits[b]).tolist())
 
     def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
+        return self.element_from_digits((-self._digits[a]).tolist())
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -264,7 +262,7 @@ class FieldCtx:
         return int(self.antilog[(self.log[a] + self.log[b]) % (self.q - 1)])
 
     def square(self, a: int) -> int:
-        return int(self.square_table[a])
+        return self.mul(a, a)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -291,31 +289,21 @@ class FieldCtx:
         h = self.pow(x, (self.q - 1) // 2)
         if h == 1:
             return 1
-        assert h == self.neg_table[1]
+        assert h == self.p - 1
         return -1
 
     def element_digits(self, x: int) -> tuple[int, ...]:
         """Coefficient vector of x, constant term first, length m."""
-        return tuple(int(c) for c in self._digits[x])
+        return tuple(self._digits[x].tolist())
 
     def element_from_digits(self, digits: Sequence[int]) -> int:
         return sum((c % self.p) * self.p ** i for i, c in enumerate(digits))
 
     # -- vectorized kernels ---------------------------------------------------
 
-    def frobenius(self, xs: np.ndarray) -> np.ndarray:
-        """x -> x^p applied to an array of canonical indices."""
-        xs = np.asarray(xs, dtype=np.int64)
-        out = np.zeros_like(xs)
-        nz = xs != 0
-        out[nz] = self.antilog[(self.log[xs[nz]] * self.p) % (self.q - 1)]
-        return out
-
-    @cached_property
-    def square_table(self) -> np.ndarray:
-        out = np.zeros(self.q, dtype=np.int64)
-        out[self.antilog] = self.antilog[(2 * np.arange(self.q - 1)) % (self.q - 1)]
-        return out
+    def scale(self, xs: np.ndarray, c: int) -> np.ndarray:
+        """c * x for every index in xs and a prime-field scalar c: each digit scales by c."""
+        return (c * self._digits[xs].astype(np.int64) % self.p) @ self._pows
 
     @cached_property
     def quad_char_table(self) -> np.ndarray:
@@ -325,26 +313,25 @@ class FieldCtx:
         return qc
 
     @cached_property
-    def trace_by_exponent(self) -> np.ndarray:
-        """tr(g^k) for k = 0 .. q-2."""
-        return self.trace_table[self.antilog]
-
-    @cached_property
     def trace_x2(self) -> np.ndarray:
-        """tr(x^2) for every index x."""
-        return self.trace_table[self.square_table]
+        """tr(x^2) = sum_ij Q_ij x_i x_j for every index x."""
+        acc = np.zeros(self.q, dtype=np.int64)
+        for i, col in enumerate(self._digits.T):
+            # x_i * (Q_ii x_i + 2 sum_(j>i) Q_ij x_j) counts each pair i < j once
+            row = self._trace_form[i].copy()
+            row[:i] = 0
+            row[i + 1:] *= 2
+            acc += col * (self._linear_form(row) % self.p)
+        return self._mod_p(acc)
 
     @cached_property
     def trace_x2_plus_x(self) -> np.ndarray:
         """tr(x^2 + x) for every index x (trace is additive)."""
-        return ((self.trace_x2.astype(np.int64) + self.trace_table) % self.p).astype(np.int16)
+        return self._mod_p(self.trace_x2.astype(np.int64) + self.trace_table)
 
     def trace_mul_all(self, b: int) -> np.ndarray:
-        """tr(b*x) for every index x, as one array."""
-        out = np.zeros(self.q, dtype=np.int16)
-        if b != 0:
-            out[self.antilog] = np.roll(self.trace_by_exponent, -int(self.log[b]))
-        return out
+        """tr(b*x) = sum_ij Q_ij b_i x_j for every index x, as one array."""
+        return self._mod_p(self._linear_form(self._digits[b] @ self._trace_form))
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, m={self.m}, modulus={list(self.modulus)})"

@@ -119,7 +119,8 @@ def test_criterion_5_structural_invariants():
             # the four-weight degeneration (m = 3 with p = 2 mod 3, here
             # (5,3)): the only solution of tr(x) = tr(x^2) = 0 is x = 0, so D
             # has no proportional pair and the dual distance is 3.  The
-            # assertion is kept as stated; see the decisions ledger.
+            # assertion is kept as stated; the decision is recorded in CHANGES.md
+            # under "Criterion 5 at (5,3)".
             if not dual:
                 failures.append(
                     f"dual_distance_two at ({p},{m}) is False (dual distance is 3, "

@@ -2,9 +2,10 @@
 
 import json
 
-
-from defset.cli import (EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main,
+from defset.cli import (EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, gauss_checks, main,
                         run_verification)
+from defset.codes import defining_set, dual_distance_two
+from defset.fields import build_field, field
 
 
 def run(capsys, *argv):
@@ -209,6 +210,38 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify", "--p", "4", "--m", "2")[0] == EXIT_USAGE
     assert run(capsys, "verify", "--p", "3", "--m", "3",
                "--checks", "bogus")[0] == EXIT_USAGE
+
+
+def test_malformed_numeric_settings_are_usage_errors(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CAP", "abc")
+    code, _, err = run(capsys, "verify", "--p", "3", "--m", "3")
+    assert code == EXIT_USAGE and "CAP" in err
+    monkeypatch.delenv("CAP")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=3\nm=3\njobs=x\n")
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == EXIT_USAGE and "'jobs'" in err
+
+
+def test_verify_lemmas_honour_max_q(capsys):
+    # the lemma oracles run on the entry's own field, so a raised cap reaches them
+    code, out, err = run(capsys, "verify", "--p", "3", "--m", "10", "--max-q", "100000",
+                         "--checks", "lemmas", "--format", "json")
+    assert code == EXIT_OK, err
+    assert all(c["match"] for c in json.loads(out)["lemmas"])
+
+
+def test_verify_builds_each_field_once():
+    field.cache_clear()
+    run_verification(3, 4)
+    assert field.cache_info().misses == 1
+
+
+def test_gauss_and_dual_leave_log_tables_unbuilt():
+    ctx = build_field(3, 8)
+    assert all(c.match for c in gauss_checks(ctx))
+    assert dual_distance_two(defining_set(ctx))
+    assert "antilog" not in vars(ctx) and "log" not in vars(ctx)
 
 
 def test_config_file(tmp_path, capsys):

@@ -207,12 +207,13 @@ def test_bclass_from_element():
 
 
 def test_realized_classes_partition():
-    ctx = field(3, 5)
-    classes = realized_b_classes(ctx)
-    seen = set()
-    for b in range(1, ctx.q):
-        seen.add(BClass.from_element(ctx, b))
-    assert seen == set(classes)
+    # every realized class, each with its smallest representative b
+    for p, m in [(3, 5), (5, 3), (7, 2)]:
+        ctx = field(p, m)
+        first = {}
+        for b in range(1, ctx.q):
+            first.setdefault(BClass.from_element(ctx, b), b)
+        assert realized_b_classes(ctx) == first
 
 
 def test_oracle_unknown_kind():

@@ -131,6 +131,18 @@ def test_dual_distance_two():
     assert dual_distance_two(defining_set(field(3, 4)))
     assert dual_distance_two(defining_set(field(3, 5)))
     assert not dual_distance_two(defining_set(field(3, 2)))  # singleton D
+    assert not dual_distance_two(defining_set(field(5, 3)))  # four-weight degeneration
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (3, 8),
+                                 (5, 3), (5, 4), (5, 5), (7, 3), (7, 4)])
+def test_dual_distance_two_matches_proportionality_search(p, m):
+    # two coordinates are proportional iff lambda*d lies in D for some d and lambda != 1
+    ds = defining_set(field(p, m))
+    members = set(ds.elements.tolist())
+    direct = any(ds.ctx.mul(lam, x) in members
+                 for x in ds.elements.tolist() for lam in range(2, p))
+    assert dual_distance_two(ds) == direct
 
 
 def test_secret_sharing_ratio():

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from defset.cyclotomic import (ClosedGauss, CycInt, additive_char_sum, cyc_add,
-                               cyc_mul, cyc_root, cyc_scale, embed_complex,
+from defset.cyclotomic import (ClosedGauss, CycInt, cyc_mul, cyc_root, embed_complex,
                                gauss_closed, gauss_sum_exact)
 from defset.errors import PrimeMismatch
 from defset.fields import field
@@ -28,13 +27,13 @@ def test_roots_sum_to_zero():
     for p in (3, 5, 7, 11):
         total = CycInt.zero(p)
         for t in range(p):
-            total = cyc_add(total, cyc_root(p, t))
+            total = total + cyc_root(p, t)
         assert total == CycInt.zero(p)
 
 
 def test_add_negation_cancels():
     x = CycInt(5, [2, -1, 7, 0, 3])
-    assert cyc_add(x, -x) == CycInt.zero(5)
+    assert x + -x == CycInt.zero(5)
 
 
 def test_mul_exponents_add_mod_p():
@@ -43,12 +42,12 @@ def test_mul_exponents_add_mod_p():
 
 
 def test_prime_field_gauss_sum_squares_to_minus_three():
-    gbar = cyc_add(cyc_root(3, 1), -cyc_root(3, 2))  # zeta - zeta^2
+    gbar = cyc_root(3, 1) - cyc_root(3, 2)  # zeta - zeta^2
     assert cyc_mul(gbar, gbar) == CycInt.from_int(3, -3)
 
 
 def test_scale_and_int_detection():
-    x = cyc_scale(CycInt.from_int(7, 3), -4)
+    x = CycInt.from_int(7, 3) * -4
     assert x.is_rational_int() and x.to_int() == -12
     z = cyc_root(7, 2)
     assert not z.is_rational_int()
@@ -58,14 +57,14 @@ def test_scale_and_int_detection():
 
 def test_prime_mismatch():
     with pytest.raises(PrimeMismatch):
-        cyc_add(cyc_root(3, 1), cyc_root(5, 1))
+        cyc_root(3, 1) + cyc_root(5, 1)
     with pytest.raises(PrimeMismatch):
         cyc_mul(cyc_root(3, 1), cyc_root(5, 1))
 
 
 def test_gauss_sum_exact_f3():
     g = gauss_sum_exact(field(3, 1))
-    assert g == cyc_add(cyc_root(3, 1), -cyc_root(3, 2))
+    assert g == cyc_root(3, 1) - cyc_root(3, 2)
 
 
 def test_gauss_sum_exact_f5_square():
@@ -134,11 +133,29 @@ def test_gauss_closed_agrees_with_exact_embedding(p, m):
 
 
 def test_additive_character_orthogonality():
+    # sum over x of zeta^tr(b*x) is q for b = 0 and 0 otherwise
     for p, m in [(3, 2), (5, 2), (3, 3)]:
         ctx = field(p, m)
-        assert additive_char_sum(ctx, 0) == CycInt.from_int(p, ctx.q)
-        for b in range(1, ctx.q):
-            assert additive_char_sum(ctx, b) == CycInt.zero(p)
+        for b in range(ctx.q):
+            char_sum = CycInt(p, np.bincount(ctx.trace_mul_all(b), minlength=p))
+            assert char_sum == (CycInt.from_int(p, ctx.q) if b == 0 else CycInt.zero(p))
+
+
+def _gauss_by_definition(ctx):
+    # sum over x != 0 of eta(x) * zeta^tr(x)
+    eta = ctx.quad_char_table[1:]
+    tr = ctx.trace_table[1:]
+    plus = np.bincount(tr[eta == 1], minlength=ctx.p)
+    minus = np.bincount(tr[eta == -1], minlength=ctx.p)
+    return CycInt(ctx.p, plus - minus)
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in (3, 5, 7, 11, 13) for m in (1, 2, 3)
+                                 if p ** m <= 20_000]
+                         + [(3, 4), (3, 5), (3, 6), (3, 8), (5, 4), (5, 5), (7, 4)])
+def test_gauss_sum_exact_matches_definition(p, m):
+    ctx = field(p, m)
+    assert gauss_sum_exact(ctx) == _gauss_by_definition(ctx)
 
 
 def test_closed_gauss_value():

@@ -103,14 +103,28 @@ def test_trace_alpha_f9():
     assert ctx.trace(3) == 0
 
 
+def _frobenius_trace(ctx, x):
+    acc = 0
+    for i in range(ctx.m):
+        acc = ctx.add(acc, ctx.pow(x, ctx.p ** i))
+    return acc
+
+
 def test_trace_agrees_with_direct_frobenius_sum():
     for p, m in [(3, 3), (5, 2), (7, 2)]:
         ctx = field(p, m)
         for x in range(ctx.q):
-            acc = 0
-            for i in range(m):
-                acc = ctx.add(acc, ctx.pow(x, p ** i))
-            assert acc == ctx.trace(x) < p
+            assert _frobenius_trace(ctx, x) == ctx.trace(x) < p
+    # the quadratic and bilinear trace forms, under two different moduli
+    for p, m in [(3, 4), (5, 3)]:
+        for modulus in itertools.islice(irreducible_polys(p, m), 2):
+            ctx = build_field(p, m, modulus=modulus)
+            tr = [_frobenius_trace(ctx, x) for x in range(ctx.q)]
+            assert tr == ctx.trace_table.tolist()
+            assert [tr[ctx.square(x)] for x in range(ctx.q)] == ctx.trace_x2.tolist()
+            for b in range(ctx.q):
+                want = [tr[ctx.mul(b, x)] for x in range(ctx.q)]
+                assert want == ctx.trace_mul_all(b).tolist(), b
 
 
 def test_trace_frobenius_invariance_and_linearity():

@@ -10,6 +10,7 @@ character sums accumulated exactly in Z[zeta_p].
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,24 +357,41 @@ def predicted_distribution(p: int, m: int) -> PredictedDistribution:
 
 # --- brute-force oracles -------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _scalar_counts(p: int, arity: int) -> np.ndarray:
+    """E[k, u] = #{y in (F_p*)^arity : y . u = k mod p}, counted by enumeration.
+
+    Column u stands for the vector (u_1, ..., u_arity) of its base-p digits,
+    most significant first.  For a histogram h over such vectors, E @ h holds
+    the coefficients of sum_y sum_u h[u] * zeta_p^(y . u) in Z[zeta_p].  The
+    loop runs over y_1, so no temporary is larger than (p-1)^(arity-1) * p^arity.
+    """
+    width = p ** arity
+    u = np.indices((p,) * arity).reshape(arity, width)
+    rest = np.indices((p - 1,) * (arity - 1)).reshape(arity - 1, (p - 1) ** (arity - 1)) + 1
+    partial = rest.T @ u[1:]  # y_2 u_2 + ... over every (y_2, ...) and u
+    cols = np.arange(width)
+    counts = np.zeros(p * width, dtype=np.int64)
+    for y in range(1, p):
+        k = (y * u[0] + partial) % p
+        counts += np.bincount((k * width + cols).ravel(), minlength=p * width)
+    counts = counts.reshape(p, width)
+    counts.setflags(write=False)
+    return counts
+
+
 def _oracle_lemma8(ctx: FieldCtx) -> int:
-    s = np.asarray(ctx.trace_x2_plus_x, dtype=np.int64)
-    total = np.zeros(ctx.p, dtype=np.int64)
-    for y in range(1, ctx.p):
-        total += np.bincount(y * s % ctx.p, minlength=ctx.p)
-    return CycInt(ctx.p, total).to_int()
+    hist = np.bincount(ctx.trace_x2_plus_x, minlength=ctx.p)
+    return CycInt(ctx.p, _scalar_counts(ctx.p, 1) @ hist).to_int()
 
 
 def _oracle_lemma9(ctx: FieldCtx, b: int) -> int:
-    s = np.asarray(ctx.trace_x2_plus_x, dtype=np.int64)
-    # tr(y*x^2 + y*x + b*z*x) = y*tr(x^2 + x) + z*tr(b*x) for scalars y, z
-    tb = np.asarray(ctx.trace_mul_all(b), dtype=np.int64)
-    total = np.zeros(ctx.p, dtype=np.int64)
-    for y in range(1, ctx.p):
-        ys = y * s
-        for z in range(1, ctx.p):
-            total += np.bincount((ys + z * tb) % ctx.p, minlength=ctx.p)
-    return CycInt(ctx.p, total).to_int()
+    p = ctx.p
+    # tr(y*x^2 + y*x + b*z*x) = y*tr(x^2 + x) + z*tr(b*x) for scalars y, z;
+    # the key is int64 because s*p + t overflows int16 once p >= 182
+    key = ctx.trace_x2_plus_x.astype(np.int64) * p + ctx.trace_mul_all(b)
+    joint = np.bincount(key, minlength=p * p)
+    return CycInt(p, _scalar_counts(p, 2) @ joint).to_int()
 
 
 def _oracle_lemma10(ctx: FieldCtx, a: int) -> int:

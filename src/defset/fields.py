@@ -145,6 +145,18 @@ def irreducible_polys(p: int, m: int) -> Iterator[list[int]]:
             yield coeffs
 
 
+def _check_size(p: int, m: int, max_q: int) -> int:
+    """q = p^m, after checking that p is an odd prime, m >= 1 and q <= max_q."""
+    if p == 2 or not is_prime(p):
+        raise NotOddPrime(f"p={p} is not an odd prime")
+    if m < 1:
+        raise DegreeTooSmall(f"extension degree m={m} must be >= 1")
+    q = p ** m
+    if q > max_q:
+        raise FieldTooLarge(f"p^m = {q} exceeds the cap {max_q}")
+    return q
+
+
 class FieldCtx:
     """A concrete realization of F_(p^m).
 
@@ -160,13 +172,7 @@ class FieldCtx:
 
     def __init__(self, p: int, m: int, max_q: int = DEFAULT_MAX_Q,
                  modulus: Sequence[int] | None = None):
-        if p == 2 or not is_prime(p):
-            raise NotOddPrime(f"p={p} is not an odd prime")
-        if m < 1:
-            raise DegreeTooSmall(f"extension degree m={m} must be >= 1")
-        q = p ** m
-        if q > max_q:
-            raise FieldTooLarge(f"p^m = {q} exceeds the cap {max_q}")
+        q = _check_size(p, m, max_q)
         self.p = p
         self.m = m
         self.q = q
@@ -344,6 +350,19 @@ def build_field(p: int, m: int, max_q: int = DEFAULT_MAX_Q,
 
 
 @functools.lru_cache(maxsize=None)
+def _cached_field(p: int, m: int) -> FieldCtx:
+    return build_field(p, m, max_q=p ** m)
+
+
 def field(p: int, m: int, max_q: int = DEFAULT_MAX_Q) -> FieldCtx:
-    """Shared cache of default-modulus fields (oracles, CLI and tests)."""
-    return build_field(p, m, max_q=max_q)
+    """Shared cache of default-modulus fields (oracles, CLI and tests).
+
+    The cache is keyed on (p, m): the cap is checked first, so a field built
+    under one cap is reused under any other cap that admits it.
+    """
+    _check_size(p, m, max_q)
+    return _cached_field(p, m)
+
+
+field.cache_clear = _cached_field.cache_clear
+field.cache_info = _cached_field.cache_info

@@ -237,6 +237,15 @@ def test_verify_builds_each_field_once():
     assert field.cache_info().misses == 1
 
 
+def test_verify_p43_m2_all_lemmas_match(capsys):
+    # a large-p entry outside the acceptance grid: 1938 lemma checks
+    code, out, err = run(capsys, "verify", "--p", "43", "--m", "2", "--format", "json")
+    assert code == EXIT_OK, err
+    obj = json.loads(out)
+    assert obj["lemmas"] and all(c["match"] is True for c in obj["lemmas"])
+    assert obj["checks"]["match"] is True
+
+
 def test_gauss_and_dual_leave_log_tables_unbuilt():
     ctx = build_field(3, 8)
     assert all(c.match for c in gauss_checks(ctx))

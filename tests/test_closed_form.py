@@ -1,12 +1,13 @@
 """Closed-form evaluators against frozen values and enumeration oracles."""
 
+import numpy as np
 import pytest
 
-from defset.closed_form import (BClass, CaseTag, G_even, GGbar_odd, classify,
+from defset.closed_form import (ORACLES, BClass, CaseTag, G_even, GGbar_odd, classify,
                                 lemma8_value, lemma9_B, lemma10_N0a,
                                 lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
                                 lemma_Nb_predicted, oracle, predicted_distribution,
-                                predicted_length, realized_b_classes)
+                                predicted_length, realized_b_classes, _scalar_counts)
 from defset.codes import brute_weight_distribution, count_Nb, defining_set
 from defset.cyclotomic import CycInt, gauss_sum_exact
 from defset.errors import CaseMismatch, NonIntegralTableEntry
@@ -127,6 +128,43 @@ def test_lemma9_oracle_all_classes(p, m):
     ctx = field(p, m)
     for cls, b in realized_b_classes(ctx).items():
         assert lemma9_B(p, m, cls) == oracle("lemma9", p, m, b=b), (cls, b)
+
+
+def _lemma9_by_bincounts(ctx, b):
+    # the definition term by term: one bincount of y*tr(x^2+x) + z*tr(b*x) per (y, z)
+    s = ctx.trace_x2_plus_x.astype(np.int64)
+    tb = ctx.trace_mul_all(b).astype(np.int64)
+    total = np.zeros(ctx.p, dtype=np.int64)
+    for y in range(1, ctx.p):
+        for z in range(1, ctx.p):
+            total += np.bincount((y * s + z * tb) % ctx.p, minlength=ctx.p)
+    return CycInt(ctx.p, total).to_int()
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (3, 4), (5, 3), (7, 2), (7, 3), (11, 2)])
+def test_lemma9_oracle_matches_bincount_definition(p, m):
+    ctx = field(p, m)
+    for b in range(ctx.q):
+        assert ORACLES["lemma9"](ctx, b) == _lemma9_by_bincounts(ctx, b), b
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_scalar_counts_enumerate_pairs(p):
+    counts = _scalar_counts(p, 2)
+    assert counts.shape == (p, p * p)
+    assert (counts.sum(axis=0) == (p - 1) ** 2).all()
+    want = np.zeros((p, p * p), dtype=np.int64)
+    for y in range(1, p):
+        for z in range(1, p):
+            for u in range(p):
+                for v in range(p):
+                    want[(y * u + z * v) % p, u * p + v] += 1
+    assert (counts == want).all()
+    single = np.zeros((p, p), dtype=np.int64)
+    for y in range(1, p):
+        for u in range(p):
+            single[y * u % p, u] += 1
+    assert (_scalar_counts(p, 1) == single).all()
 
 
 def test_lemma10_examples_and_oracle():

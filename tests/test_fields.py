@@ -27,6 +27,16 @@ def test_build_field_cap():
         build_field(3, 7, max_q=1000)
 
 
+def test_field_cache_is_keyed_on_p_and_m():
+    field.cache_clear()
+    assert field(3, 5) is field(3, 5, 100_000)
+    assert field.cache_info().misses == 1
+    with pytest.raises(FieldTooLarge):
+        field(3, 7, 1000)
+    with pytest.raises(NotOddPrime):
+        field(4, 20, 1000)
+
+
 @pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
 def test_build_field_rejects_bad_characteristic(p):
     with pytest.raises(NotOddPrime):

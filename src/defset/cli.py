@@ -10,154 +10,20 @@ import argparse
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .codes import (LemmaCheck, VerifyReport, brute_weight_distribution, count_Nb,
-                    defining_set, distribution_csv, dual_distance_two,
-                    export_defining_set, power_moment_check, secret_sharing_ratio,
-                    weight_enumerator_string)
-from .closed_form import (ORACLES, CaseTag, THEOREM_NUMBER, classify, lemma8_value,
-                          lemma9_B, lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc,
-                          lemma17_vc, lemma_Nb_predicted, predicted_distribution,
-                          realized_b_classes, PredictedDistribution)
-from .cyclotomic import CycInt, embed_complex, gauss_closed, gauss_sum_exact
+from .codes import (VerifyReport, brute_weight_distribution, defining_set,
+                    distribution_csv, export_defining_set, weight_enumerator_string)
+from .closed_form import THEOREM_NUMBER, classify, predicted_distribution
+from .cyclotomic import embed_complex, gauss_closed, gauss_sum_exact
 from .errors import DefSetError, FieldTooLarge
 from .fields import DEFAULT_MAX_Q, field
+from .verify import CHECK_FAMILIES, CLAIMS, gauss_checks, run_verification
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
-
-CHECK_FAMILIES = ("distribution", "lemmas", "gauss", "moments", "dual", "ss-ratio")
-
-_NB_LEMMA_ID = {
-    CaseTag.EVEN_DIVIDES: "lemma13",
-    CaseTag.EVEN_COPRIME: "lemma14",
-    CaseTag.ODD_DIVIDES: "lemma15",
-    CaseTag.ODD_COPRIME: "lemma18",
-}
-
-
-# --- verification ------------------------------------------------------------
-
-def run_lemma_suite(ctx) -> list[LemmaCheck]:
-    """Compare every applicable closed form against its enumeration oracle on ctx."""
-    p, m = ctx.p, ctx.m
-    out: list[LemmaCheck] = []
-
-    def add(check_id, params, closed, brute):
-        out.append(LemmaCheck(check_id, params, closed, brute, closed == brute))
-
-    add("lemma8", {}, lemma8_value(p, m), ORACLES["lemma8"](ctx))
-    nb_id = _NB_LEMMA_ID[classify(p, m)]
-    classes = realized_b_classes(ctx)
-    for cls in sorted(classes, key=lambda c: (c.t2, c.t1, c.disc)):
-        b = classes[cls]
-        params = {"t2": cls.t2, "t1": cls.t1, "disc": cls.disc, "b": b}
-        add("lemma9", params, lemma9_B(p, m, cls), ORACLES["lemma9"](ctx, b=b))
-        add(nb_id, params, lemma_Nb_predicted(p, m, cls), count_Nb(ctx, b))
-    for a in range(p):
-        add("lemma10", {"a": a}, lemma10_N0a(p, m, a), ORACLES["lemma10"](ctx, a=a))
-    add("lemma11", {}, list(lemma11_counts(p, m)), list(ORACLES["lemma11"](ctx)))
-    if m % p != 0:
-        add("lemma12", {}, lemma12_V(p, m), ORACLES["lemma12"](ctx))
-    if m % 2 == 1:
-        for c in range(p):
-            add("lemma16", {"c": c}, lemma16_uc(p, m, c), ORACLES["lemma16"](ctx, c=c))
-        if m % p == 0:
-            for c in range(1, p):
-                add("lemma17", {"c": c}, lemma17_vc(p, m, c), ORACLES["lemma17"](ctx, c=c))
-    return out
-
-
-def gauss_checks(ctx) -> list[LemmaCheck]:
-    """Exact square identity and the closed-form embedding bound for G."""
-    p, m = ctx.p, ctx.m
-    exact = gauss_sum_exact(ctx)
-    eta_minus_one = 1 if ((ctx.q - 1) // 2) % 2 == 0 else -1
-    square = exact * exact
-    want = CycInt.from_int(p, eta_minus_one * ctx.q)
-    closed = gauss_closed(p, m)
-    diff = abs(embed_complex(exact) - closed.value())
-    tol = 1e-9 * p ** (m / 2)
-    return [
-        LemmaCheck("lemma5_square_identity", {},
-                   eta_minus_one * ctx.q,
-                   square.to_int() if square.is_rational_int() else str(square),
-                   square == want),
-        LemmaCheck("lemma5_embedding", {"tolerance": tol},
-                   str(closed), f"{diff:.3e}", diff < tol),
-    ]
-
-
-def _ss_claimed(tag: CaseTag, m: int) -> bool:
-    # the regimes where the ratio bound w_min/w_max > (p-1)/p is asserted
-    if tag is CaseTag.EVEN_DIVIDES:
-        return m >= 4
-    if tag is CaseTag.EVEN_COPRIME:
-        return m >= 6
-    return m >= 5
-
-
-def run_verification(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q,
-                     checks=CHECK_FAMILIES,
-                     corrupt_prediction: bool = False) -> VerifyReport:
-    """Build, enumerate, predict and compare one (p, m) entry."""
-    t0 = time.perf_counter()
-    checks = tuple(checks)
-    ctx = field(p, m, max_q)
-    ds = defining_set(ctx)
-    tag = classify(p, m)
-    pred = predicted_distribution(p, m)
-    if corrupt_prediction:
-        rows = list(pred.rows)
-        w, a = rows[-1]
-        rows[-1] = (w, a + 1)
-        pred = PredictedDistribution(tuple(rows), pred.n, pred.dimension)
-
-    need_brute = bool({"distribution", "moments", "ss-ratio"} & set(checks))
-    brute = brute_weight_distribution(ds) if need_brute else None
-    match = (brute == pred.with_zero_word() and ds.n == pred.n) if brute else None
-    moments = power_moment_check(brute, p, m, ds.n) if brute else None
-    dual = dual_distance_two(ds) if "dual" in checks else None
-    ss = secret_sharing_ratio(brute, p) if brute else None
-
-    lemma_checks: list[LemmaCheck] = []
-    if "lemmas" in checks:
-        lemma_checks.extend(run_lemma_suite(ctx))
-    if "gauss" in checks:
-        lemma_checks.extend(gauss_checks(ctx))
-
-    in_hypothesis = m > 2
-    passed = all(c.match for c in lemma_checks)
-    if "distribution" in checks:
-        passed &= bool(match)
-    if in_hypothesis:
-        if "moments" in checks:
-            passed &= all(moments)
-        if "dual" in checks and tag in (CaseTag.EVEN_COPRIME, CaseTag.ODD_COPRIME) and ds.n >= 2:
-            # In the four-weight degeneration (m = 3 with p = 2 mod 3) the only
-            # solution of tr(x) = tr(x^2) = 0 is x = 0, so no two coordinates of
-            # D are proportional and the dual distance is 3: there the computed
-            # value is reported but not asserted.
-            if not (m == 3 and p % 3 == 2):
-                passed &= bool(dual)
-        if "ss-ratio" in checks and _ss_claimed(tag, m):
-            passed &= bool(ss[2])
-
-    return VerifyReport(
-        p=p, m=m, case=tag.value, theorem=THEOREM_NUMBER[tag],
-        n_bruteforce=ds.n, n_predicted=pred.n,
-        distribution_bruteforce=brute,
-        distribution_predicted=pred.with_zero_word(),
-        match=match, moment_checks=moments, dual_distance_two=dual, ss_ratio=ss,
-        lemma_checks=lemma_checks,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-        outside_theorem_hypothesis=not in_hypothesis,
-        passed=passed,
-    )
 
 
 def report_dict(rep: VerifyReport, include_runtime: bool = False) -> dict:
@@ -212,8 +78,9 @@ def _report_text(rep: VerifyReport) -> str:
             if not c.match:
                 lines.append(f"    MISMATCH {c.id} {c.params}: closed={c.closed} oracle={c.oracle}")
     if rep.outside_theorem_hypothesis:
-        lines.append("  note: m <= 2 is outside the theorem hypotheses; "
-                     "only the distribution comparison gates the exit code")
+        gating = [f for f, claim in CLAIMS.items() if claim(rep.p, rep.m)]
+        lines.append("  note: m <= 2 is outside the theorem hypotheses; only "
+                     f"{', '.join(gating)} gate the exit code")
     lines.append(f"  result: {'PASS' if rep.passed else 'FAIL'}")
     return "\n".join(lines)
 
@@ -271,9 +138,9 @@ class _Settings:
         checks = pick(getattr(args, "checks", None), None, "checks", None, str)
         self.checks = CHECK_FAMILIES if checks is None else tuple(
             c.strip() for c in checks.split(",") if c.strip())
-        for c in self.checks:
-            if c not in CHECK_FAMILIES:
-                raise DefSetError(f"unknown check family {c!r} (known: {', '.join(CHECK_FAMILIES)})")
+        if not self.checks or not set(self.checks) <= set(CHECK_FAMILIES):
+            raise DefSetError(f"bad check selection {checks!r} (want a nonempty comma list of: "
+                              f"{', '.join(CHECK_FAMILIES)})")
         grid = pick(getattr(args, "grid", None), None, "grid", None, str)
         if grid is not None:
             self.entries = _parse_grid(grid)
@@ -380,9 +247,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     st = _Settings(args)
 
     def one(entry):
-        p, m = entry
-        return run_verification(p, m, max_q=st.max_q, checks=st.checks,
-                                corrupt_prediction=args.corrupt_prediction)
+        return run_verification(*entry, max_q=st.max_q, checks=st.checks)
 
     if st.jobs > 1 and len(st.entries) > 1:
         with ThreadPoolExecutor(max_workers=st.jobs) as pool:
@@ -475,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of: " + ",".join(CHECK_FAMILIES))
     sp.add_argument("--timestamps", action="store_true",
                     help="include runtime_ms in reports (off for byte-stable output)")
-    sp.add_argument("--corrupt-prediction", action="store_true", help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("gauss", help="exact Gauss sum vs closed form")

@@ -2,16 +2,30 @@
 
 import json
 
-from defset.cli import (EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, gauss_checks, main,
-                        run_verification)
+from defset import verify
+from defset.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from defset.closed_form import PredictedDistribution
 from defset.codes import defining_set, dual_distance_two
 from defset.fields import build_field, field
+from defset.verify import gauss_checks, run_verification
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def corrupt_prediction(monkeypatch):
+    """Make every prediction's last row one codeword too many."""
+    real = verify.predicted_distribution
+
+    def off_by_one(p, m):
+        pred = real(p, m)
+        (w, a), rows = pred.rows[-1], pred.rows[:-1]
+        return PredictedDistribution(rows + ((w, a + 1),), pred.n, pred.dimension)
+
+    monkeypatch.setattr(verify, "predicted_distribution", off_by_one)
 
 
 def test_build_header_and_enumerator(capsys):
@@ -115,6 +129,7 @@ def test_verify_53_dual_reported_not_asserted(capsys):
     assert code == EXIT_OK
     obj = json.loads(out)
     assert obj["checks"]["dual_distance_two"] is False
+    assert obj["checks"]["ss_ratio"]["passes"] is False
     assert obj["checks"]["match"] is True
 
 
@@ -137,9 +152,9 @@ def test_verify_timestamps_flag(capsys):
     assert "runtime_ms" in out
 
 
-def test_verify_corrupted_prediction_fails(capsys):
-    code, out, _ = run(capsys, "verify", "--p", "3", "--m", "4", "--format", "json",
-                       "--corrupt-prediction")
+def test_verify_corrupted_prediction_fails(capsys, monkeypatch):
+    corrupt_prediction(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--p", "3", "--m", "4", "--format", "json")
     assert code == EXIT_MISMATCH
     obj = json.loads(out)
     assert obj["checks"]["match"] is False
@@ -179,6 +194,16 @@ def test_verify_m2_flagged_outside_hypothesis(capsys):
     assert obj["checks"]["match"] is True
 
 
+def test_verify_m2_lemma_mismatch_fails(capsys, monkeypatch):
+    # outside the theorem hypotheses the lemma identities still gate the exit code
+    real = verify.lemma8_value
+    monkeypatch.setattr(verify, "lemma8_value", lambda p, m: real(p, m) + 1)
+    code, out, _ = run(capsys, "verify", "--p", "3", "--m", "2")
+    assert code == EXIT_MISMATCH
+    assert "only distribution, lemmas, gauss gate the exit code" in out
+    assert "MISMATCH lemma8" in out
+
+
 def test_verify_csv_summary(capsys):
     code, out, _ = run(capsys, "verify", "--p", "3", "--m", "4", "--format", "csv")
     assert code == EXIT_OK
@@ -208,8 +233,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "predict")[0] == EXIT_USAGE
     assert run(capsys, "verify", "--grid", "nonsense")[0] == EXIT_USAGE
     assert run(capsys, "verify", "--p", "4", "--m", "2")[0] == EXIT_USAGE
-    assert run(capsys, "verify", "--p", "3", "--m", "3",
-               "--checks", "bogus")[0] == EXIT_USAGE
+    for checks in ("bogus", ",", ""):
+        assert run(capsys, "verify", "--p", "3", "--m", "3",
+                   "--checks", checks)[0] == EXIT_USAGE
 
 
 def test_malformed_numeric_settings_are_usage_errors(tmp_path, capsys, monkeypatch):
@@ -272,11 +298,12 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["checks"]["match"] is True
 
 
-def test_run_verification_api():
+def test_run_verification_api(monkeypatch):
     rep = run_verification(3, 4)
     assert rep.passed and rep.match
     assert rep.n_bruteforce == rep.n_predicted == 29
     assert rep.theorem == 2
     assert rep.ss_ratio == (18, 24, True)
-    bad = run_verification(3, 4, corrupt_prediction=True)
+    corrupt_prediction(monkeypatch)
+    bad = run_verification(3, 4)
     assert not bad.passed and not bad.match

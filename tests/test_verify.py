@@ -1,0 +1,49 @@
+"""The claim table of `defset.verify`, and the benchmark's traced replay of it."""
+
+import importlib
+from pathlib import Path
+
+from defset import cli
+from defset.closed_form import THEOREM_NUMBER, classify
+from defset.fields import DEFAULT_MAX_Q
+from defset.verify import CLAIMS
+
+README_GRID = [(3, 3), (3, 4), (3, 5), (3, 6), (3, 8), (5, 3), (5, 4), (5, 5), (7, 3), (7, 4)]
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def asserted_at(family):
+    return {(p, m) for p, m in README_GRID if CLAIMS[family](p, m)}
+
+
+def test_claims_ss_ratio_exactly_at_criterion_5_set():
+    assert asserted_at("ss-ratio") == {(3, 5), (3, 6), (3, 8), (5, 5)}
+
+
+def test_claims_dual_on_theorems_2_and_4_except_53():
+    thm_2_4 = {(p, m) for p, m in README_GRID if THEOREM_NUMBER[classify(p, m)] in (2, 4)}
+    assert (5, 3) in thm_2_4
+    assert asserted_at("dual") == thm_2_4 - {(5, 3)}
+
+
+def test_claims_moments_iff_m_above_2():
+    for p, m in README_GRID + [(3, 2), (5, 2), (7, 1)]:
+        assert CLAIMS["moments"](p, m) is (m > 2)
+
+
+def test_claims_at_32_only_exact_identities():
+    gating = [f for f, claim in CLAIMS.items() if claim(3, 2)]
+    assert gating == ["distribution", "lemmas", "gauss"]
+
+
+def test_perfbench_replay_matches_run_verification(tmp_path, monkeypatch):
+    # perfbench/run.py --trace 1 replays run_verification stage by stage; a move
+    # that breaks the replay fails here rather than only in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    replay = importlib.import_module("replay")
+    entries = [(3, 3), (5, 3), (3, 2)]
+    replayed = replay.replay_pass(replay.Tracer(), entries, DEFAULT_MAX_Q,
+                                  cli.CHECK_FAMILIES, tmp_path / "out.json")
+    for rep, (p, m) in zip(replayed, entries):
+        real = cli.run_verification(p, m, max_q=DEFAULT_MAX_Q, checks=cli.CHECK_FAMILIES)
+        assert replay.same_work(rep, real), (p, m)

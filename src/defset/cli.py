@@ -12,8 +12,8 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .codes import (VerifyReport, brute_weight_distribution, defining_set,
-                    distribution_csv, export_defining_set, weight_enumerator_string)
+from .codes import (VerifyReport, defining_set, distribution_csv, export_defining_set,
+                    transform_weight_distribution, weight_enumerator_string)
 from .closed_form import THEOREM_NUMBER, classify, predicted_distribution
 from .cyclotomic import embed_complex, gauss_closed, gauss_sum_exact
 from .errors import DefSetError, FieldTooLarge
@@ -185,7 +185,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     p, m = st.entries[0]
     ctx = field(p, m, st.max_q)
     ds = defining_set(ctx)
-    dist = None if args.no_enumerate else brute_weight_distribution(ds)
+    dist = None if args.no_enumerate else transform_weight_distribution(ds)
 
     if dist is not None:
         d_min = min(dist.nonzero_weights()) if dist.nonzero_weights() else 0
@@ -309,7 +309,8 @@ def _add_common(sp: argparse.ArgumentParser, grid: bool = False) -> None:
         sp.add_argument("--grid", type=str, default=None,
                         help="batch of entries as 'p,m;p,m;...'")
     sp.add_argument("--max-q", dest="max_q", type=int, default=None,
-                    help=f"enumeration cap on p^m (default {DEFAULT_MAX_Q}; env CAP)")
+                    help=f"cap on q = p^m, which bounds the size of the field tables and of "
+                    f"the weight transform (default {DEFAULT_MAX_Q}; env CAP)")
     sp.add_argument("--format", choices=("json", "csv", "text"), default=None)
     sp.add_argument("--out", type=str, default=None, help="write output to this path")
     sp.add_argument("--jobs", type=int, default=None,
@@ -327,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("build", help="construct D and C_D, export D, enumerate weights")
     _add_common(sp)
     sp.add_argument("--no-enumerate", action="store_true",
-                    help="skip the brute-force weight distribution")
+                    help="skip the weight distribution (one DFT over F_p^m)")
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("predict", help="closed-form length and weight table, no enumeration")
     _add_common(sp)
     sp.set_defaults(func=cmd_predict)
 
-    sp = sub.add_parser("verify", help="brute force vs closed forms, lemma oracles, invariants")
+    sp = sub.add_parser("verify", help="enumeration vs closed forms, lemma oracles, invariants")
     _add_common(sp, grid=True)
     sp.add_argument("--checks", type=str, default=None,
                     help="comma list of: " + ",".join(CHECK_FAMILIES))

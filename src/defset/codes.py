@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import EmptyDistribution, FieldTooLarge
+from .errors import EmptyDistribution, FieldTooLarge, InexactTransform
 from .fields import FieldCtx
 
 
@@ -102,6 +102,32 @@ def brute_weight_distribution(ds: DefiningSet, cap: int | None = None) -> Weight
         np.add(d_logs, k, out=buf)
         buf[buf >= q1] -= q1
         weights[ctx.antilog[k]] = np.count_nonzero(t_exp[buf])
+    return WeightDistribution.from_weights(weights)
+
+
+def transform_weight_distribution(ds: DefiningSet) -> WeightDistribution:
+    """Exact distribution over all p^m codewords from one DFT over F_p^m.
+
+    With F the DFT of the indicator of D0 = {x : tr(x^2 + x) = 0} (x = 0
+    included), N_c = |{x in D0 : sum_j c_j x_j = 0}| = (1/p) sum_(y in F_p) F(y*c),
+    because the characters of F_p sum to p at 0 and to 0 elsewhere (MacWilliams
+    & Sloane, ch. 5).  As tr(b*x) = <c(b), x>, wt(c_b) = n0 - N_(c(b)).  The
+    float counts are rounded only once every residual is checked below 1/4.
+    """
+    ctx = ds.ctx
+    p, q = ctx.p, ctx.q
+    # reshaping in index order keeps digit i on the same axis for x and for c
+    indicator = (ctx.trace_x2_plus_x == 0).reshape((p,) * ctx.m)
+    spectrum = np.fft.fftn(indicator).real.reshape(q)
+    xs = np.arange(q)
+    counts = sum(spectrum[ctx.scale(xs, y)] for y in range(p)) / p
+    rounded = np.rint(counts)
+    residual = float(np.abs(counts - rounded).max())
+    if not residual < 0.25:
+        raise InexactTransform(f"transform counts for p^m = {q} are off an integer "
+                               f"by {residual:.3g} (bound 1/4)")
+    weights = ds.n0 - rounded.astype(np.int64)[ctx.trace_dual(xs)]
+    weights[0] = 0  # b = 0 is the zero word
     return WeightDistribution.from_weights(weights)
 
 

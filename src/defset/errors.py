@@ -34,5 +34,13 @@ class NonIntegralTableEntry(DefSetError):
     """
 
 
+class InexactTransform(DefSetError):
+    """A floating-point transform count lies too far from an integer to round.
+
+    Like NonIntegralTableEntry, this signals a numerical or implementation
+    fault, never bad user input.
+    """
+
+
 class CaseMismatch(DefSetError):
     """A closed-form formula was applied outside its (parity, divisibility) case."""

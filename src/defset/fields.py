@@ -312,13 +312,6 @@ class FieldCtx:
         return (c * self._digits[xs].astype(np.int64) % self.p) @ self._pows
 
     @cached_property
-    def quad_char_table(self) -> np.ndarray:
-        qc = np.zeros(self.q, dtype=np.int8)
-        ks = np.arange(self.q - 1)
-        qc[self.antilog] = np.where(ks % 2 == 0, 1, -1).astype(np.int8)
-        return qc
-
-    @cached_property
     def trace_x2(self) -> np.ndarray:
         """tr(x^2) = sum_ij Q_ij x_i x_j for every index x."""
         acc = np.zeros(self.q, dtype=np.int64)
@@ -338,6 +331,10 @@ class FieldCtx:
     def trace_mul_all(self, b: int) -> np.ndarray:
         """tr(b*x) = sum_ij Q_ij b_i x_j for every index x, as one array."""
         return self._mod_p(self._linear_form(self._digits[b] @ self._trace_form))
+
+    def trace_dual(self, bs: np.ndarray) -> np.ndarray:
+        """Index of c(b) = Q*digits(b) for every b in bs, so tr(b*x) = sum_j c(b)_j x_j."""
+        return (self._digits[bs] @ self._trace_form % self.p) @ self._pows
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, m={self.m}, modulus={list(self.modulus)})"

@@ -1,4 +1,4 @@
-"""Verify one (p, m) entry: brute force against the closed forms and lemma oracles.
+"""Verify one (p, m) entry: enumeration against the closed forms and lemma oracles.
 
 `CLAIMS` says, for each check family, whether it gates the verdict at (p, m).
 """
@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import time
 
-from .codes import (LemmaCheck, VerifyReport, brute_weight_distribution, count_Nb,
-                    defining_set, dual_distance_two, power_moment_check,
-                    secret_sharing_ratio)
+from .codes import (LemmaCheck, VerifyReport, count_Nb, defining_set, dual_distance_two,
+                    power_moment_check, secret_sharing_ratio, transform_weight_distribution)
 from .closed_form import (ORACLES, CaseTag, THEOREM_NUMBER, classify, lemma8_value,
                           lemma9_B, lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc,
                           lemma17_vc, lemma_Nb_predicted, predicted_distribution,
@@ -106,12 +105,12 @@ def run_verification(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q,
     tag = classify(p, m)
     pred = predicted_distribution(p, m)
 
-    need_brute = bool({"distribution", "moments", "ss-ratio"} & set(checks))
-    brute = brute_weight_distribution(ds) if need_brute else None
-    match = (brute == pred.with_zero_word() and ds.n == pred.n) if brute else None
-    moments = power_moment_check(brute, p, m, ds.n) if brute else None
+    need_dist = bool({"distribution", "moments", "ss-ratio"} & set(checks))
+    dist = transform_weight_distribution(ds) if need_dist else None
+    match = (dist == pred.with_zero_word() and ds.n == pred.n) if dist else None
+    moments = power_moment_check(dist, p, m, ds.n) if dist else None
     dual = dual_distance_two(ds) if "dual" in checks else None
-    ss = secret_sharing_ratio(brute, p) if brute else None
+    ss = secret_sharing_ratio(dist, p) if dist else None
     lemmas = run_lemma_suite(ctx) if "lemmas" in checks else []
     gauss = gauss_checks(ctx) if "gauss" in checks else []
 
@@ -126,7 +125,7 @@ def run_verification(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q,
     return VerifyReport(
         p=p, m=m, case=tag.value, theorem=THEOREM_NUMBER[tag],
         n_bruteforce=ds.n, n_predicted=pred.n,
-        distribution_bruteforce=brute,
+        distribution_bruteforce=dist,
         distribution_predicted=pred.with_zero_word(),
         match=match, moment_checks=moments, dual_distance_two=dual, ss_ratio=ss,
         lemma_checks=lemmas + gauss,

@@ -4,7 +4,7 @@ import json
 
 from defset import verify
 from defset.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from defset.closed_form import PredictedDistribution
+from defset.closed_form import PredictedDistribution, predicted_distribution
 from defset.codes import defining_set, dual_distance_two
 from defset.fields import build_field, field
 from defset.verify import gauss_checks, run_verification
@@ -70,6 +70,14 @@ def test_build_no_enumerate(capsys):
     code, out, _ = run(capsys, "build", "--p", "3", "--m", "4", "--no-enumerate")
     assert code == EXIT_OK
     assert "[29,4]" in out and "x^18" not in out
+
+
+def test_build_past_default_cap(capsys):
+    code, out, err = run(capsys, "build", "--p", "3", "--m", "10", "--max-q", "60000",
+                         "--format", "json")
+    assert code == EXIT_OK, err
+    want = predicted_distribution(3, 10).with_zero_word()
+    assert json.loads(out)["distribution"] == [[w, a] for w, a in want.items()]
 
 
 def test_predict_55(capsys):
@@ -276,6 +284,13 @@ def test_gauss_and_dual_leave_log_tables_unbuilt():
     ctx = build_field(3, 8)
     assert all(c.match for c in gauss_checks(ctx))
     assert dual_distance_two(defining_set(ctx))
+    assert "antilog" not in vars(ctx) and "log" not in vars(ctx)
+
+
+def test_verify_leaves_log_tables_unbuilt():
+    field.cache_clear()
+    assert run_verification(3, 4).passed
+    ctx = field(3, 4)
     assert "antilog" not in vars(ctx) and "log" not in vars(ctx)
 
 

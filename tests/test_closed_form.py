@@ -1,5 +1,7 @@
 """Closed-form evaluators against frozen values and enumeration oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,11 @@ from defset.closed_form import (ORACLES, BClass, CaseTag, G_even, GGbar_odd, cla
                                 lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
                                 lemma_Nb_predicted, oracle, predicted_distribution,
                                 predicted_length, realized_b_classes, _scalar_counts)
-from defset.codes import brute_weight_distribution, count_Nb, defining_set
+from defset.codes import (brute_weight_distribution, count_Nb, defining_set,
+                          transform_weight_distribution)
 from defset.cyclotomic import CycInt, gauss_sum_exact
 from defset.errors import CaseMismatch, NonIntegralTableEntry
-from defset.fields import field
+from defset.fields import DEFAULT_MAX_Q, field, is_prime
 
 
 @pytest.mark.parametrize("p,m,tag", [
@@ -259,7 +262,25 @@ def test_oracle_unknown_kind():
         oracle("lemma99", 3, 3)
 
 
-@pytest.mark.parametrize("p,m", [(3, 4), (5, 3), (3, 6)])
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 3), (3, 6),
+                                 (3, 3), (3, 5), (3, 8), (5, 4), (5, 5), (7, 3), (7, 4),
+                                 (3, 2), (7, 2), (13, 2), (71, 2)])
 def test_prediction_matches_enumeration(p, m):
+    # the transform kernel that verify runs against the direct per-b loop
     ds = defining_set(field(p, m))
-    assert predicted_distribution(p, m).with_zero_word() == brute_weight_distribution(ds)
+    brute = brute_weight_distribution(ds)
+    assert predicted_distribution(p, m).with_zero_word() == brute
+    assert transform_weight_distribution(ds) == brute
+
+
+SMALL_FIELDS = [(p, m) for p in range(3, math.isqrt(DEFAULT_MAX_Q) + 1) if is_prime(p)
+                for m in range(2, 20) if p ** m <= DEFAULT_MAX_Q]
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS)
+def test_theorems_hold_on_every_small_field(p, m):
+    # theorems 1-4 at every odd p and m >= 2 under the default cap, not only the grid
+    pred = predicted_distribution(p, m)
+    ds = defining_set(field(p, m))
+    assert ds.n == pred.n
+    assert transform_weight_distribution(ds) == pred.with_zero_word()

@@ -1,4 +1,6 @@
-"""Defining set, codeword, brute-force distribution and structural checks."""
+"""Defining set, codeword, weight-distribution kernels and structural checks."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -6,10 +8,11 @@ import pytest
 from defset.codes import (WeightDistribution, brute_weight_distribution, codeword,
                           count_Nb, defining_set, distribution_csv,
                           dual_distance_two, export_defining_set,
-                          power_moment_check, secret_sharing_ratio, weight_of,
+                          power_moment_check, secret_sharing_ratio,
+                          transform_weight_distribution, weight_of,
                           weight_enumerator_string)
-from defset.errors import EmptyDistribution, FieldTooLarge
-from defset.fields import field
+from defset.errors import EmptyDistribution, FieldTooLarge, InexactTransform
+from defset.fields import build_field, field, irreducible_polys
 
 
 @pytest.mark.parametrize("p,m,n", [(3, 3, 8), (3, 4, 29), (3, 2, 1), (3, 5, 71), (5, 3, 19)])
@@ -89,6 +92,20 @@ def test_brute_distribution_cap():
     ds = defining_set(field(3, 5))
     with pytest.raises(FieldTooLarge):
         brute_weight_distribution(ds, cap=100)
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (5, 3)])
+def test_transform_matches_brute_force_under_second_modulus(p, m):
+    modulus = list(itertools.islice(irreducible_polys(p, m), 2))[1]
+    ds = defining_set(build_field(p, m, modulus=modulus))
+    assert transform_weight_distribution(ds) == brute_weight_distribution(ds)
+
+
+def test_transform_refuses_to_round_inexact_counts(monkeypatch):
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda a: fftn(a) + 0.3)
+    with pytest.raises(InexactTransform, match="by 0.3"):
+        transform_weight_distribution(defining_set(field(3, 4)))
 
 
 def test_linearity_of_codewords():

@@ -141,9 +141,23 @@ def test_additive_character_orthogonality():
             assert char_sum == (CycInt.from_int(p, ctx.q) if b == 0 else CycInt.zero(p))
 
 
+def _quad_char_table(ctx):
+    # eta(g^k) = (-1)^k on F_q*, 0 at 0
+    qc = np.zeros(ctx.q, dtype=np.int8)
+    ks = np.arange(ctx.q - 1)
+    qc[ctx.antilog] = np.where(ks % 2 == 0, 1, -1).astype(np.int8)
+    return qc
+
+
+def test_quad_char_table_matches_scalar():
+    ctx = field(7, 2)
+    table = _quad_char_table(ctx)
+    assert all(int(table[x]) == ctx.quad_char(x) for x in range(ctx.q))
+
+
 def _gauss_by_definition(ctx):
     # sum over x != 0 of eta(x) * zeta^tr(x)
-    eta = ctx.quad_char_table[1:]
+    eta = _quad_char_table(ctx)[1:]
     tr = ctx.trace_table[1:]
     plus = np.bincount(tr[eta == 1], minlength=ctx.p)
     minus = np.bincount(tr[eta == -1], minlength=ctx.p)

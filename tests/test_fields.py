@@ -132,9 +132,14 @@ def test_trace_agrees_with_direct_frobenius_sum():
             tr = [_frobenius_trace(ctx, x) for x in range(ctx.q)]
             assert tr == ctx.trace_table.tolist()
             assert [tr[ctx.square(x)] for x in range(ctx.q)] == ctx.trace_x2.tolist()
+            digits = np.array([ctx.element_digits(x) for x in range(ctx.q)])
+            duals = ctx.trace_dual(np.arange(ctx.q))
             for b in range(ctx.q):
                 want = [tr[ctx.mul(b, x)] for x in range(ctx.q)]
                 assert want == ctx.trace_mul_all(b).tolist(), b
+                # c(b) is the digit vector of the linear form x -> tr(b*x)
+                c = np.array(ctx.element_digits(int(duals[b])))
+                assert want == (digits @ c % p).tolist(), b
 
 
 def test_trace_frobenius_invariance_and_linearity():
@@ -193,12 +198,6 @@ def test_quad_char_multiplicative_and_balanced():
         assert ctx.quad_char(ctx.mul(x, y)) == ctx.quad_char(x) * ctx.quad_char(y)
     plus = sum(1 for x in range(1, ctx.q) if ctx.quad_char(x) == 1)
     assert plus == (ctx.q - 1) // 2
-
-
-def test_quad_char_table_matches_scalar():
-    ctx = field(7, 2)
-    table = ctx.quad_char_table
-    assert all(int(table[x]) == ctx.quad_char(x) for x in range(ctx.q))
 
 
 def test_basis_independence_of_trace_multiset():

@@ -1,6 +1,7 @@
 """Command-line front end: build codes, print predictions, verify, Gauss report.
 
-Exit codes are stable: 0 all enabled checks pass, 1 mathematical mismatch,
+Exit codes are stable: 0 all enabled checks pass, 1 mathematical mismatch or
+a result that cannot be certified (`InexactTransform`, `NonIntegralTableEntry`),
 2 usage error, 3 enumeration cap exceeded.
 """
 
@@ -16,7 +17,7 @@ from .codes import (VerifyReport, defining_set, distribution_csv, export_definin
                     transform_weight_distribution, weight_enumerator_string)
 from .closed_form import THEOREM_NUMBER, classify, predicted_distribution
 from .cyclotomic import embed_complex, gauss_closed, gauss_sum_exact
-from .errors import DefSetError, FieldTooLarge
+from .errors import DefSetError, FieldTooLarge, InexactTransform, NonIntegralTableEntry
 from .fields import DEFAULT_MAX_Q, field
 from .verify import CHECK_FAMILIES, CLAIMS, gauss_checks, run_verification
 
@@ -358,6 +359,10 @@ def main(argv=None) -> int:
     except FieldTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except (InexactTransform, NonIntegralTableEntry) as exc:
+        # a numerical or implementation fault: the result cannot be certified
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except (DefSetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

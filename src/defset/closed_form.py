@@ -3,20 +3,18 @@
 Every formula here is evaluated in exact integer arithmetic.  The two Gauss
 quantities that appear are integers in their own regimes: G for even m, and
 the product G*Gbar for odd m.  Each closed form has a brute-force oracle
-(`oracle`) that recomputes the same quantity by direct enumeration, with
-character sums accumulated exactly in Z[zeta_p].
+(`oracle`) that recomputes the same quantity by direct enumeration; a
+character sum is first reduced to integer counts by orthogonality.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import WeightDistribution
-from .cyclotomic import CycInt
 from .errors import CaseMismatch, NonIntegralTableEntry
 from .fields import FieldCtx, field, legendre
 
@@ -357,41 +355,25 @@ def predicted_distribution(p: int, m: int) -> PredictedDistribution:
 
 # --- brute-force oracles -------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _scalar_counts(p: int, arity: int) -> np.ndarray:
-    """E[k, u] = #{y in (F_p*)^arity : y . u = k mod p}, counted by enumeration.
-
-    Column u stands for the vector (u_1, ..., u_arity) of its base-p digits,
-    most significant first.  For a histogram h over such vectors, E @ h holds
-    the coefficients of sum_y sum_u h[u] * zeta_p^(y . u) in Z[zeta_p].  The
-    loop runs over y_1, so no temporary is larger than (p-1)^(arity-1) * p^arity.
-    """
-    width = p ** arity
-    u = np.indices((p,) * arity).reshape(arity, width)
-    rest = np.indices((p - 1,) * (arity - 1)).reshape(arity - 1, (p - 1) ** (arity - 1)) + 1
-    partial = rest.T @ u[1:]  # y_2 u_2 + ... over every (y_2, ...) and u
-    cols = np.arange(width)
-    counts = np.zeros(p * width, dtype=np.int64)
-    for y in range(1, p):
-        k = (y * u[0] + partial) % p
-        counts += np.bincount((k * width + cols).ravel(), minlength=p * width)
-    counts = counts.reshape(p, width)
-    counts.setflags(write=False)
-    return counts
-
+# The lemma-8 and lemma-9 character sums reduce to counts through the
+# orthogonality of the characters of F_p: sum_(y in F_p*) zeta_p^(y*s) is
+# p*[s = 0] - 1 (MacWilliams & Sloane, ch. 5).
 
 def _oracle_lemma8(ctx: FieldCtx) -> int:
-    hist = np.bincount(ctx.trace_x2_plus_x, minlength=ctx.p)
-    return CycInt(ctx.p, _scalar_counts(ctx.p, 1) @ hist).to_int()
+    # sum_x (p*[tr(x^2 + x) = 0] - 1) = p*n0 - q
+    n0 = int(np.count_nonzero(ctx.trace_x2_plus_x == 0))
+    return ctx.p * n0 - ctx.q
 
 
 def _oracle_lemma9(ctx: FieldCtx, b: int) -> int:
+    # tr(y*x^2 + y*x + b*z*x) = y*tr(x^2 + x) + z*tr(b*x) for scalars y, z, so
+    # B_b = sum_x (p*[tr(x^2 + x) = 0] - 1) * (p*[tr(b*x) = 0] - 1)
+    #     = p^2*N_b - p*n0 - p*Z_b + q, with Z_b = |{x : tr(b*x) = 0}|
     p = ctx.p
-    # tr(y*x^2 + y*x + b*z*x) = y*tr(x^2 + x) + z*tr(b*x) for scalars y, z;
-    # the key is int64 because s*p + t overflows int16 once p >= 182
-    key = ctx.trace_x2_plus_x.astype(np.int64) * p + ctx.trace_mul_all(b)
-    joint = np.bincount(key, minlength=p * p)
-    return CycInt(p, _scalar_counts(p, 2) @ joint).to_int()
+    s0 = ctx.trace_x2_plus_x == 0
+    t0 = ctx.trace_mul_all(b) == 0
+    nb, n0, zb = (int(np.count_nonzero(v)) for v in (s0 & t0, s0, t0))
+    return p * p * nb - p * n0 - p * zb + ctx.q
 
 
 def _oracle_lemma10(ctx: FieldCtx, a: int) -> int:

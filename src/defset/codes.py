@@ -105,30 +105,45 @@ def brute_weight_distribution(ds: DefiningSet, cap: int | None = None) -> Weight
     return WeightDistribution.from_weights(weights)
 
 
-def transform_weight_distribution(ds: DefiningSet) -> WeightDistribution:
-    """Exact distribution over all p^m codewords from one DFT over F_p^m.
+def transform_Nb(ds: DefiningSet) -> np.ndarray:
+    """N_b = |{x : tr(x^2 + x) = 0 and tr(b*x) = 0}| for every b in F_q, from one DFT.
 
     With F the DFT of the indicator of D0 = {x : tr(x^2 + x) = 0} (x = 0
     included), N_c = |{x in D0 : sum_j c_j x_j = 0}| = (1/p) sum_(y in F_p) F(y*c),
     because the characters of F_p sum to p at 0 and to 0 elsewhere (MacWilliams
-    & Sloane, ch. 5).  As tr(b*x) = <c(b), x>, wt(c_b) = n0 - N_(c(b)).  The
+    & Sloane, ch. 5).  As tr(b*x) = <c(b), x>, N_b = N_(c(b)); N_0 = n0.  The
     float counts are rounded only once every residual is checked below 1/4.
     """
     ctx = ds.ctx
     p, q = ctx.p, ctx.q
     # reshaping in index order keeps digit i on the same axis for x and for c
     indicator = (ctx.trace_x2_plus_x == 0).reshape((p,) * ctx.m)
-    spectrum = np.fft.fftn(indicator).real.reshape(q)
-    xs = np.arange(q)
-    counts = sum(spectrum[ctx.scale(xs, y)] for y in range(p)) / p
+    spectrum = np.fft.fftn(indicator).real
+    # y*c scales every digit of c by y, the same permutation on every axis;
+    # Re F(-c) = Re F(c) pairs y with p - y, and F(0*c) = F(0) for every c
+    total = np.full(spectrum.shape, spectrum.flat[0])
+    for y in range(1, (p + 1) // 2):
+        perm = np.arange(p) * y % p
+        total += 2 * spectrum[np.ix_(*[perm] * ctx.m)]
+    counts = total.reshape(q) / p
     rounded = np.rint(counts)
     residual = float(np.abs(counts - rounded).max())
     if not residual < 0.25:
         raise InexactTransform(f"transform counts for p^m = {q} are off an integer "
                                f"by {residual:.3g} (bound 1/4)")
-    weights = ds.n0 - rounded.astype(np.int64)[ctx.trace_dual(xs)]
-    weights[0] = 0  # b = 0 is the zero word
+    return rounded.astype(np.int64)[ctx.trace_dual(np.arange(q))]
+
+
+def distribution_from_Nb(ds: DefiningSet, nb: np.ndarray) -> WeightDistribution:
+    """The distribution of wt(c_b) = n0 - N_b over every b, with c_0 the zero word."""
+    weights = ds.n0 - nb
+    weights[0] = 0
     return WeightDistribution.from_weights(weights)
+
+
+def transform_weight_distribution(ds: DefiningSet) -> WeightDistribution:
+    """Exact distribution over all p^m codewords from one DFT over F_p^m (`transform_Nb`)."""
+    return distribution_from_Nb(ds, transform_Nb(ds))
 
 
 def power_moment_check(dist: WeightDistribution, p: int, m: int, n: int) -> tuple[bool, bool]:

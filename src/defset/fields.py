@@ -133,6 +133,17 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     return True
 
 
+def _has_root(f: Sequence[int], p: int) -> bool:
+    """True iff the polynomial f (constant term first) vanishes at some a in F_p."""
+    for a in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * a + c) % p
+        if acc == 0:
+            return True
+    return False
+
+
 def irreducible_polys(p: int, m: int) -> Iterator[list[int]]:
     """Yield monic irreducible degree-m polynomials over F_p in ascending order.
 
@@ -141,6 +152,10 @@ def irreducible_polys(p: int, m: int) -> Iterator[list[int]]:
     """
     for k in range(p ** m):
         coeffs = [(k // p ** i) % p for i in range(m)] + [1]
+        # a root a gives the factor x - a, a proper factor once m >= 2; the
+        # root test is much cheaper than Rabin's and rejects most candidates
+        if m >= 2 and _has_root(coeffs, p):
+            continue
         if is_irreducible(coeffs, p):
             yield coeffs
 

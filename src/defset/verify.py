@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import time
 
-from .codes import (LemmaCheck, VerifyReport, count_Nb, defining_set, dual_distance_two,
-                    power_moment_check, secret_sharing_ratio, transform_weight_distribution)
+from .codes import (LemmaCheck, VerifyReport, defining_set, distribution_from_Nb,
+                    dual_distance_two, power_moment_check, secret_sharing_ratio, transform_Nb)
 from .closed_form import (ORACLES, CaseTag, THEOREM_NUMBER, classify, lemma8_value,
                           lemma9_B, lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc,
                           lemma17_vc, lemma_Nb_predicted, predicted_distribution,
@@ -45,22 +45,33 @@ CLAIMS = {
 CHECK_FAMILIES = tuple(CLAIMS)
 
 
-def run_lemma_suite(ctx) -> list[LemmaCheck]:
-    """Compare every applicable closed form against its enumeration oracle on ctx."""
+def run_lemma_suite(ctx, nb) -> list[LemmaCheck]:
+    """Compare every applicable closed form against its enumeration oracle on ctx.
+
+    nb[b] = N_b = |{x : tr(x^2 + x) = 0 and tr(b*x) = 0}| for every b in F_q,
+    so nb[0] = n0, as `transform_Nb` counts them.
+    """
     p, m = ctx.p, ctx.m
+    n0 = int(nb[0])
     out: list[LemmaCheck] = []
 
     def add(check_id, params, closed, brute):
         out.append(LemmaCheck(check_id, params, closed, brute, closed == brute))
 
-    add("lemma8", {}, lemma8_value(p, m), ORACLES["lemma8"](ctx))
+    # sum_(y in F_p*) zeta_p^(y*s) = p*[s = 0] - 1, so the lemma-8 sum over
+    # y in F_p*, x in F_q is p*n0 - q, and the lemma-9 sum over y, z in F_p*
+    # is p^2*N_b - p*n0 for b != 0, where tr(b*x) = 0 on q/p elements (see
+    # closed_form._oracle_lemma9).  The lemma-9 and N_b checks of a class are
+    # therefore tied by this identity: both compare the same count N_b.
+    add("lemma8", {}, lemma8_value(p, m), p * n0 - ctx.q)
     nb_id = _NB_LEMMA_ID[classify(p, m)]
     classes = realized_b_classes(ctx)
     for cls in sorted(classes, key=lambda c: (c.t2, c.t1, c.disc)):
         b = classes[cls]
         params = {"t2": cls.t2, "t1": cls.t1, "disc": cls.disc, "b": b}
-        add("lemma9", params, lemma9_B(p, m, cls), ORACLES["lemma9"](ctx, b=b))
-        add(nb_id, params, lemma_Nb_predicted(p, m, cls), count_Nb(ctx, b))
+        nb_b = int(nb[b])
+        add("lemma9", params, lemma9_B(p, m, cls), p * p * nb_b - p * n0)
+        add(nb_id, params, lemma_Nb_predicted(p, m, cls), nb_b)
     for a in range(p):
         add("lemma10", {"a": a}, lemma10_N0a(p, m, a), ORACLES["lemma10"](ctx, a=a))
     add("lemma11", {}, list(lemma11_counts(p, m)), list(ORACLES["lemma11"](ctx)))
@@ -106,12 +117,13 @@ def run_verification(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q,
     pred = predicted_distribution(p, m)
 
     need_dist = bool({"distribution", "moments", "ss-ratio"} & set(checks))
-    dist = transform_weight_distribution(ds) if need_dist else None
+    nb = transform_Nb(ds) if need_dist or "lemmas" in checks else None
+    dist = distribution_from_Nb(ds, nb) if need_dist else None
     match = (dist == pred.with_zero_word() and ds.n == pred.n) if dist else None
     moments = power_moment_check(dist, p, m, ds.n) if dist else None
     dual = dual_distance_two(ds) if "dual" in checks else None
     ss = secret_sharing_ratio(dist, p) if dist else None
-    lemmas = run_lemma_suite(ctx) if "lemmas" in checks else []
+    lemmas = run_lemma_suite(ctx, nb) if "lemmas" in checks else []
     gauss = gauss_checks(ctx) if "gauss" in checks else []
 
     holds = {

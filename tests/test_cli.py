@@ -2,6 +2,8 @@
 
 import json
 
+import numpy as np
+
 from defset import verify
 from defset.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from defset.closed_form import PredictedDistribution, predicted_distribution
@@ -278,6 +280,24 @@ def test_verify_p43_m2_all_lemmas_match(capsys):
     obj = json.loads(out)
     assert obj["lemmas"] and all(c["match"] is True for c in obj["lemmas"])
     assert obj["checks"]["match"] is True
+
+
+def test_verify_p139_m2_all_lemmas_match(capsys):
+    # the largest m = 2 entry under the default cap
+    code, out, err = run(capsys, "verify", "--p", "139", "--m", "2", "--format", "json")
+    assert code == EXIT_OK, err
+    obj = json.loads(out)
+    assert obj["lemmas"] and all(c["match"] is True for c in obj["lemmas"])
+    assert obj["checks"]["match"] is True
+
+
+def test_inexact_transform_is_exit_1(capsys, monkeypatch):
+    # a result that cannot be certified is a failed check, not a usage error
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda a: fftn(a) + 0.3)
+    code, _, err = run(capsys, "verify", "--p", "3", "--m", "4")
+    assert code == EXIT_MISMATCH
+    assert "by 0.3" in err
 
 
 def test_gauss_and_dual_leave_log_tables_unbuilt():

@@ -9,7 +9,7 @@ from defset.closed_form import (ORACLES, BClass, CaseTag, G_even, GGbar_odd, cla
                                 lemma8_value, lemma9_B, lemma10_N0a,
                                 lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
                                 lemma_Nb_predicted, oracle, predicted_distribution,
-                                predicted_length, realized_b_classes, _scalar_counts)
+                                predicted_length, realized_b_classes)
 from defset.codes import (brute_weight_distribution, count_Nb, defining_set,
                           transform_weight_distribution)
 from defset.cyclotomic import CycInt, gauss_sum_exact
@@ -151,6 +151,39 @@ def test_lemma9_oracle_matches_bincount_definition(p, m):
         assert ORACLES["lemma9"](ctx, b) == _lemma9_by_bincounts(ctx, b), b
 
 
+def _scalar_counts(p, arity):
+    """E[k, u] = #{y in (F_p*)^arity : y . u = k mod p}, counted by enumeration.
+
+    Column u stands for the vector (u_1, ..., u_arity) of its base-p digits,
+    most significant first.  For a histogram h over such vectors, E @ h holds
+    the coefficients of sum_y sum_u h[u] * zeta_p^(y . u) in Z[zeta_p].  Meant
+    for p <= 13: the temporaries have (p-1)^(arity-1) * p^arity entries.
+    """
+    width = p ** arity
+    u = np.indices((p,) * arity).reshape(arity, width)
+    rest = np.indices((p - 1,) * (arity - 1)).reshape(arity - 1, (p - 1) ** (arity - 1)) + 1
+    partial = rest.T @ u[1:]  # y_2 u_2 + ... over every (y_2, ...) and u
+    cols = np.arange(width)
+    counts = np.zeros(p * width, dtype=np.int64)
+    for y in range(1, p):
+        k = (y * u[0] + partial) % p
+        counts += np.bincount((k * width + cols).ravel(), minlength=p * width)
+    return counts.reshape(p, width)
+
+
+def _lemma8_by_scalar_counts(ctx):
+    hist = np.bincount(ctx.trace_x2_plus_x, minlength=ctx.p)
+    return CycInt(ctx.p, _scalar_counts(ctx.p, 1) @ hist).to_int()
+
+
+def _lemma9_by_scalar_counts(ctx, b):
+    # the character sum in Z[zeta_p] from one joint (tr(x^2 + x), tr(b*x)) histogram
+    p = ctx.p
+    key = ctx.trace_x2_plus_x.astype(np.int64) * p + ctx.trace_mul_all(b)
+    joint = np.bincount(key, minlength=p * p)
+    return CycInt(p, _scalar_counts(p, 2) @ joint).to_int()
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_scalar_counts_enumerate_pairs(p):
     counts = _scalar_counts(p, 2)
@@ -168,6 +201,32 @@ def test_scalar_counts_enumerate_pairs(p):
         for u in range(p):
             single[y * u % p, u] += 1
     assert (_scalar_counts(p, 1) == single).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_scalar_counts_columns_depend_only_on_zero_pattern(p):
+    # E_p[:, (u, v)] is set by whether u = 0 and whether v = 0, which is what
+    # collapses the lemma-9 sum to p^2*N_b - p*n0 - p*Z_b + q
+    counts = _scalar_counts(p, 2)
+    point = np.eye(p, dtype=np.int64)[0]
+    ones = np.ones(p, dtype=np.int64)
+    # p*[s = 0] - 1 for each of y and z, as counts over k
+    want = {(True, True): (p - 1) ** 2 * point,
+            (True, False): (p - 1) * (ones - point),
+            (False, True): (p - 1) * (ones - point),
+            (False, False): (p - 1) * point + (p - 2) * (ones - point)}
+    for u in range(p):
+        for v in range(p):
+            assert (counts[:, u * p + v] == want[u == 0, v == 0]).all(), (u, v)
+    assert len({tuple(col) for col in counts.T}) == 3  # the two mixed patterns agree
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (3, 4), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)])
+def test_count_oracles_match_scalar_count_route(p, m):
+    ctx = field(p, m)
+    assert ORACLES["lemma8"](ctx) == _lemma8_by_scalar_counts(ctx)
+    for b in range(ctx.q):
+        assert ORACLES["lemma9"](ctx, b) == _lemma9_by_scalar_counts(ctx, b), b
 
 
 def test_lemma10_examples_and_oracle():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from defset.errors import DegreeTooSmall, FieldTooLarge, NotOddPrime
-from defset.fields import (build_field, field, irreducible_polys, is_irreducible,
-                           legendre)
+from defset.fields import (DEFAULT_MAX_Q, build_field, field, irreducible_polys, is_irreducible,
+                           is_prime, legendre)
 
 
 def test_build_field_m1_modulus_is_x():
@@ -20,6 +20,22 @@ def test_build_field_f9_modulus():
     # -1 is a non-residue mod 3, so x^2 + 1 is the lex-smallest irreducible
     ctx = build_field(3, 2)
     assert list(ctx.modulus) == [1, 0, 1]
+
+
+def test_root_filter_keeps_canonical_modulus():
+    # the first monic irreducible under a plain Rabin scan, for every odd p and
+    # m >= 1 with p^m under the default cap
+    def plain_scan(p, m):
+        for k in range(p ** m):
+            coeffs = [(k // p ** i) % p for i in range(m)] + [1]
+            if is_irreducible(coeffs, p):
+                return coeffs
+
+    fields = [(p, m) for p in range(3, DEFAULT_MAX_Q + 1) if is_prime(p)
+              for m in range(1, 10) if p ** m <= DEFAULT_MAX_Q]
+    assert (3, 9) in fields and (19997, 1) in fields
+    for p, m in fields:
+        assert next(irreducible_polys(p, m)) == plain_scan(p, m), (p, m)
 
 
 def test_build_field_cap():

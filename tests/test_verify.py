@@ -3,10 +3,13 @@
 import importlib
 from pathlib import Path
 
+import pytest
+
 from defset import cli
-from defset.closed_form import THEOREM_NUMBER, classify
-from defset.fields import DEFAULT_MAX_Q
-from defset.verify import CLAIMS
+from defset.closed_form import ORACLES, THEOREM_NUMBER, classify, realized_b_classes
+from defset.codes import count_Nb, defining_set, transform_Nb
+from defset.fields import DEFAULT_MAX_Q, field
+from defset.verify import _NB_LEMMA_ID, CLAIMS, run_lemma_suite
 
 README_GRID = [(3, 3), (3, 4), (3, 5), (3, 6), (3, 8), (5, 3), (5, 4), (5, 5), (7, 3), (7, 4)]
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -47,3 +50,20 @@ def test_perfbench_replay_matches_run_verification(tmp_path, monkeypatch):
     for rep, (p, m) in zip(replayed, entries):
         real = cli.run_verification(p, m, max_q=DEFAULT_MAX_Q, checks=cli.CHECK_FAMILIES)
         assert replay.same_work(rep, real), (p, m)
+
+
+@pytest.mark.parametrize("p,m", [(3, 5), (5, 3), (7, 4), (13, 2), (71, 2)])
+def test_lemma_suite_reads_nb_of_each_class(p, m):
+    # the suite reads N_b and B_b off the transform's vector; the per-b passes
+    # over F_q are the independent reference
+    ctx = field(p, m)
+    checks = run_lemma_suite(ctx, transform_Nb(defining_set(ctx)))
+    reps = set(realized_b_classes(ctx).values())
+    nb_checks = [c for c in checks if c.id == _NB_LEMMA_ID[classify(p, m)]]
+    lemma9 = [c for c in checks if c.id == "lemma9"]
+    assert {c.params["b"] for c in nb_checks} == {c.params["b"] for c in lemma9} == reps
+    for c in nb_checks:
+        assert c.oracle == count_Nb(ctx, c.params["b"]), c.params
+    for c in lemma9:
+        assert c.oracle == ORACLES["lemma9"](ctx, c.params["b"]), c.params
+    assert [c.oracle for c in checks if c.id == "lemma8"] == [ORACLES["lemma8"](ctx)]

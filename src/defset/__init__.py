@@ -16,12 +16,12 @@ from .codes import (DefiningSet, VerifyReport, WeightDistribution,
                     distribution_csv, dual_distance_two, export_defining_set,
                     power_moment_check, secret_sharing_ratio,
                     transform_weight_distribution, weight_of, weight_enumerator_string)
-from .cyclotomic import (ClosedGauss, CycInt, cyc_mul, cyc_root, embed_complex,
+from .cyclotomic import (ClosedGauss, CycInt, cyc_root, embed_complex,
                          gauss_closed, gauss_sum_exact)
 from .errors import (CaseMismatch, DefSetError, DegreeTooSmall, EmptyDistribution,
                      FieldTooLarge, InexactTransform, NonIntegralTableEntry, NotOddPrime,
                      PrimeMismatch)
-from .fields import DEFAULT_MAX_Q, FieldCtx, build_field, field, is_irreducible, legendre
+from .fields import DEFAULT_MAX_Q, FieldCtx, field, is_irreducible, legendre
 
 __version__ = "0.1.0"
 
@@ -30,13 +30,12 @@ __all__ = [
     "DefSetError", "DefiningSet", "DegreeTooSmall", "EmptyDistribution", "FieldCtx",
     "FieldTooLarge", "G_even", "GGbar_odd", "InexactTransform", "NonIntegralTableEntry",
     "NotOddPrime", "PredictedDistribution", "PrimeMismatch", "VerifyReport",
-    "WeightDistribution", "brute_weight_distribution", "build_field", "classify",
-    "codeword", "count_Nb", "cyc_mul", "cyc_root", "defining_set", "distribution_csv",
-    "dual_distance_two", "embed_complex", "export_defining_set", "field",
-    "gauss_closed", "gauss_sum_exact", "is_irreducible", "legendre", "lemma10_N0a",
-    "lemma11_counts", "lemma12_V", "lemma16_uc", "lemma17_vc", "lemma8_value",
-    "lemma9_B", "lemma_Nb_predicted", "oracle", "power_moment_check",
-    "predicted_distribution", "predicted_length", "realized_b_classes",
-    "secret_sharing_ratio", "transform_weight_distribution", "weight_enumerator_string",
-    "weight_of",
+    "WeightDistribution", "brute_weight_distribution", "classify", "codeword",
+    "count_Nb", "cyc_root", "defining_set", "distribution_csv", "dual_distance_two",
+    "embed_complex", "export_defining_set", "field", "gauss_closed", "gauss_sum_exact",
+    "is_irreducible", "legendre", "lemma10_N0a", "lemma11_counts", "lemma12_V",
+    "lemma16_uc", "lemma17_vc", "lemma8_value", "lemma9_B", "lemma_Nb_predicted",
+    "oracle", "power_moment_check", "predicted_distribution", "predicted_length",
+    "realized_b_classes", "secret_sharing_ratio", "transform_weight_distribution",
+    "weight_enumerator_string", "weight_of",
 ]

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .codes import (VerifyReport, defining_set, distribution_csv, export_defining_set,
                     transform_weight_distribution, weight_enumerator_string)
@@ -112,43 +111,58 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 class _Settings:
-    """Flags win over environment variables, which win over --config values."""
+    """Flags win over environment variables, which win over --config values.
+
+    A config key is the dest of a value-taking flag of the running subcommand
+    (`max_q`, `format`, ...), and that flag's type and choices check its value.
+    """
 
     def __init__(self, args: argparse.Namespace):
-        cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+        flags = {a.dest: a for a in args.parser._actions
+                 if a.option_strings and a.nargs != 0 and a.dest != "config"}
+        cfg = _load_config(args.config) if args.config else {}
+        unknown = sorted(set(cfg) - set(flags))
+        if unknown:
+            raise DefSetError(f"unknown config key(s) for {args.command}: "
+                              f"{', '.join(map(repr, unknown))} (want: {', '.join(flags)})")
         env = os.environ
 
-        def pick(flag_value, env_name, cfg_name, default, cast):
-            if flag_value is not None:
-                return flag_value
+        def pick(dest, default=None, env_name=None):
+            if dest not in flags:
+                return default
+            if getattr(args, dest) is not None:
+                return getattr(args, dest)
             if env_name and env.get(env_name):
                 raw, source = env[env_name], f"environment variable {env_name}"
-            elif cfg_name in cfg:
-                raw, source = cfg[cfg_name], f"config key {cfg_name!r}"
+            elif dest in cfg:
+                raw, source = cfg[dest], f"config key {dest!r}"
             else:
                 return default
+            action = flags[dest]
             try:
-                return cast(raw)
+                value = (action.type or str)(raw)
             except ValueError:
                 raise DefSetError(f"bad value {raw!r} for {source}") from None
+            if action.choices is not None and value not in action.choices:
+                raise DefSetError(f"bad value {raw!r} for {source} "
+                                  f"(want one of: {', '.join(action.choices)})")
+            return value
 
-        self.max_q = pick(getattr(args, "max_q", None), "CAP", "max_q", DEFAULT_MAX_Q, int)
-        self.jobs = pick(getattr(args, "jobs", None), "JOBS", "jobs", 1, int)
-        self.fmt = pick(getattr(args, "format", None), None, "format", "text", str)
-        self.out = pick(getattr(args, "out", None), None, "out", None, str)
-        checks = pick(getattr(args, "checks", None), None, "checks", None, str)
+        self.max_q = pick("max_q", DEFAULT_MAX_Q, "CAP")
+        self.fmt = pick("format", "text")
+        self.out = pick("out")
+        checks = pick("checks")
         self.checks = CHECK_FAMILIES if checks is None else tuple(
             c.strip() for c in checks.split(",") if c.strip())
         if not self.checks or not set(self.checks) <= set(CHECK_FAMILIES):
             raise DefSetError(f"bad check selection {checks!r} (want a nonempty comma list of: "
                               f"{', '.join(CHECK_FAMILIES)})")
-        grid = pick(getattr(args, "grid", None), None, "grid", None, str)
+        grid = pick("grid")
         if grid is not None:
             self.entries = _parse_grid(grid)
             self.single = False
         else:
-            p = pick(getattr(args, "p", None), None, "p", None, int)
-            m = pick(getattr(args, "m", None), None, "m", None, int)
+            p, m = pick("p"), pick("m")
             if p is None or m is None:
                 raise DefSetError("need --p and --m (or --grid)")
             self.entries = [(p, m)]
@@ -246,15 +260,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     st = _Settings(args)
-
-    def one(entry):
-        return run_verification(*entry, max_q=st.max_q, checks=st.checks)
-
-    if st.jobs > 1 and len(st.entries) > 1:
-        with ThreadPoolExecutor(max_workers=st.jobs) as pool:
-            reports = list(pool.map(one, st.entries))
-    else:
-        reports = [one(e) for e in st.entries]
+    reports = [run_verification(p, m, max_q=st.max_q, checks=st.checks)
+               for p, m in st.entries]
 
     if st.fmt == "json":
         objs = [report_dict(r, include_runtime=args.timestamps) for r in reports]
@@ -303,7 +310,10 @@ def cmd_gauss(args: argparse.Namespace) -> int:
 
 # --- entry point ----------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser, grid: bool = False) -> None:
+def _subcommand(sub, name: str, func, help: str,
+                grid: bool = False) -> argparse.ArgumentParser:
+    sp = sub.add_parser(name, help=help)
+    sp.set_defaults(func=func, parser=sp)
     sp.add_argument("--p", type=int, default=None, help="odd prime characteristic")
     sp.add_argument("--m", type=int, default=None, help="extension degree")
     if grid:
@@ -314,10 +324,10 @@ def _add_common(sp: argparse.ArgumentParser, grid: bool = False) -> None:
                     f"the weight transform (default {DEFAULT_MAX_Q}; env CAP)")
     sp.add_argument("--format", choices=("json", "csv", "text"), default=None)
     sp.add_argument("--out", type=str, default=None, help="write output to this path")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="parallel grid entries (default 1; env JOBS)")
     sp.add_argument("--config", type=str, default=None,
-                    help="key=value config file; flags and env win over it")
+                    help="key=value config file, keys named like the flags' dests "
+                    "(max_q=...); flags and env win over it")
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,28 +336,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Defining-set linear codes from tr(x^2+x) = 0: build, predict, verify.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("build", help="construct D and C_D, export D, enumerate weights")
-    _add_common(sp)
+    sp = _subcommand(sub, "build", cmd_build,
+                     "construct D and C_D, export D, enumerate weights")
     sp.add_argument("--no-enumerate", action="store_true",
                     help="skip the weight distribution (one DFT over F_p^m)")
-    sp.set_defaults(func=cmd_build)
 
-    sp = sub.add_parser("predict", help="closed-form length and weight table, no enumeration")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_predict)
+    _subcommand(sub, "predict", cmd_predict,
+                "closed-form length and weight table, no enumeration")
 
-    sp = sub.add_parser("verify", help="enumeration vs closed forms, lemma oracles, invariants")
-    _add_common(sp, grid=True)
+    sp = _subcommand(sub, "verify", cmd_verify,
+                     "enumeration vs closed forms, lemma oracles, invariants", grid=True)
     sp.add_argument("--checks", type=str, default=None,
                     help="comma list of: " + ",".join(CHECK_FAMILIES))
     sp.add_argument("--timestamps", action="store_true",
                     help="include runtime_ms in reports (off for byte-stable output)")
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("gauss", help="exact Gauss sum vs closed form")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_gauss)
-
+    _subcommand(sub, "gauss", cmd_gauss, "exact Gauss sum vs closed form")
     return parser
 
 

@@ -126,10 +126,6 @@ def cyc_root(p: int, t: int) -> CycInt:
     return CycInt(p, coeffs)
 
 
-def cyc_mul(a: CycInt, b: CycInt) -> CycInt:
-    return a * b
-
-
 def embed_complex(a: CycInt) -> complex:
     return a.embed()
 

@@ -18,6 +18,7 @@ from .errors import DegreeTooSmall, FieldTooLarge, NotOddPrime
 DEFAULT_MAX_Q = 20_000
 
 
+@functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -180,9 +181,7 @@ class FieldCtx:
     companion matrix, tr(x) = sum x_i t_i, tr(x^2) is the quadratic form with
     Q_ij = t_(i+j), and tr(b*x) is bilinear in the digits of b and x.  The
     log/antilog tables of a fixed generator serve only the scalar
-    multiplicative API and the brute-force kernels, and are built on first
-    use.  No table changes once built, so contexts are safe to share across
-    threads (two threads that first read a table at once may both build it).
+    multiplicative API and the brute-force kernels, and are built on first use.
     """
 
     def __init__(self, p: int, m: int, max_q: int = DEFAULT_MAX_Q,
@@ -355,15 +354,9 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, m={self.m}, modulus={list(self.modulus)})"
 
 
-def build_field(p: int, m: int, max_q: int = DEFAULT_MAX_Q,
-                modulus: Sequence[int] | None = None) -> FieldCtx:
-    """Construct F_(p^m), with the smallest irreducible modulus by default."""
-    return FieldCtx(p, m, max_q=max_q, modulus=modulus)
-
-
 @functools.lru_cache(maxsize=None)
 def _cached_field(p: int, m: int) -> FieldCtx:
-    return build_field(p, m, max_q=p ** m)
+    return FieldCtx(p, m, max_q=p ** m)
 
 
 def field(p: int, m: int, max_q: int = DEFAULT_MAX_Q) -> FieldCtx:

@@ -17,8 +17,8 @@ from defset.closed_form import (classify, CaseTag, lemma8_value, lemma9_B,
 from defset.codes import (brute_weight_distribution, codeword, count_Nb,
                           defining_set, dual_distance_two, power_moment_check,
                           secret_sharing_ratio, weight_enumerator_string, weight_of)
-from defset.cyclotomic import CycInt, cyc_mul, embed_complex, gauss_closed, gauss_sum_exact
-from defset.fields import build_field, field, irreducible_polys
+from defset.cyclotomic import CycInt, embed_complex, gauss_closed, gauss_sum_exact
+from defset.fields import FieldCtx, field, irreducible_polys
 
 GRID = [(3, 3), (3, 4), (3, 5), (3, 6), (3, 8), (5, 3), (5, 4), (5, 5), (7, 3), (7, 4)]
 
@@ -73,7 +73,7 @@ def test_criterion_3_gauss_suite():
         ctx = field(p, m)
         g = gauss_sum_exact(ctx)
         eta_minus_one = 1 if ((ctx.q - 1) // 2) % 2 == 0 else -1
-        ok &= cyc_mul(g, g) == CycInt.from_int(p, eta_minus_one * ctx.q)
+        ok &= g * g == CycInt.from_int(p, eta_minus_one * ctx.q)
         diff = abs(embed_complex(g) - gauss_closed(p, m).value())
         ok &= diff < 1e-9 * p ** (m / 2)
     _finish(3, "Gauss-sum square identity and closed form", ok, t0)
@@ -185,7 +185,7 @@ def test_criterion_6_property_invariants():
     # basis independence: a second irreducible modulus gives the same distribution
     for p, m in [(3, 4), (5, 3)]:
         mod_a, mod_b = itertools.islice(irreducible_polys(p, m), 2)
-        dist_a = brute_weight_distribution(defining_set(build_field(p, m, modulus=mod_a)))
-        dist_b = brute_weight_distribution(defining_set(build_field(p, m, modulus=mod_b)))
+        dist_a = brute_weight_distribution(defining_set(FieldCtx(p, m, modulus=mod_a)))
+        dist_b = brute_weight_distribution(defining_set(FieldCtx(p, m, modulus=mod_b)))
         ok &= dist_a == dist_b
     _finish(6, "two-path weights, linearity, class counts, basis independence", ok, t0)

@@ -3,12 +3,13 @@
 import json
 
 import numpy as np
+import pytest
 
 from defset import verify
 from defset.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from defset.closed_form import PredictedDistribution, predicted_distribution
 from defset.codes import defining_set, dual_distance_two
-from defset.fields import build_field, field
+from defset.fields import FieldCtx, field
 from defset.verify import gauss_checks, run_verification
 
 
@@ -170,22 +171,6 @@ def test_verify_corrupted_prediction_fails(capsys, monkeypatch):
     assert obj["checks"]["match"] is False
 
 
-def test_verify_jobs_parallel_same_output(capsys):
-    _, seq, _ = run(capsys, "verify", "--grid", "3,3;3,4;3,5", "--format", "json")
-    _, par, _ = run(capsys, "verify", "--grid", "3,3;3,4;3,5", "--format", "json",
-                    "--jobs", "3")
-    assert seq == par
-
-
-def test_jobs_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("JOBS", "2")
-    code, out_env, _ = run(capsys, "verify", "--grid", "3,3;3,4", "--format", "json")
-    assert code == EXIT_OK
-    monkeypatch.delenv("JOBS")
-    _, out_seq, _ = run(capsys, "verify", "--grid", "3,3;3,4", "--format", "json")
-    assert out_env == out_seq
-
-
 def test_verify_checks_subset(capsys):
     code, out, _ = run(capsys, "verify", "--p", "3", "--m", "4", "--format", "json",
                        "--checks", "distribution,moments")
@@ -254,9 +239,25 @@ def test_malformed_numeric_settings_are_usage_errors(tmp_path, capsys, monkeypat
     assert code == EXIT_USAGE and "CAP" in err
     monkeypatch.delenv("CAP")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("p=3\nm=3\njobs=x\n")
+    cfg.write_text("p=3\nm=3\nmax_q=x\n")
     code, _, err = run(capsys, "verify", "--config", str(cfg))
-    assert code == EXIT_USAGE and "'jobs'" in err
+    assert code == EXIT_USAGE and "'max_q'" in err
+
+
+def test_settings_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--p", "3", "--m", "3", "--jobs", "2"])
+    assert exc.value.code == EXIT_USAGE
+    cfg = tmp_path / "run.cfg"
+    for command, text, key in (("verify", "p=3\nm=3\njobs=2\n", "'jobs'"),
+                               ("predict", "grid=3,3;5,3\n", "'grid'"),
+                               ("predict", "p=3\nm=3\nchecks=lemmas\n", "'checks'"),
+                               ("verify", "p=3\nm=3\nmax-q=5\n", "'max-q'"),
+                               ("verify", "p=3\nm=3\nformat=xml\n", "'format'")):
+        cfg.write_text(text)
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, ""), text
+        assert key in err, text
 
 
 def test_verify_lemmas_honour_max_q(capsys):
@@ -301,7 +302,7 @@ def test_inexact_transform_is_exit_1(capsys, monkeypatch):
 
 
 def test_gauss_and_dual_leave_log_tables_unbuilt():
-    ctx = build_field(3, 8)
+    ctx = FieldCtx(3, 8)
     assert all(c.match for c in gauss_checks(ctx))
     assert dual_distance_two(defining_set(ctx))
     assert "antilog" not in vars(ctx) and "log" not in vars(ctx)

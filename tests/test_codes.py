@@ -12,7 +12,7 @@ from defset.codes import (WeightDistribution, brute_weight_distribution, codewor
                           transform_weight_distribution, weight_of,
                           weight_enumerator_string)
 from defset.errors import EmptyDistribution, FieldTooLarge, InexactTransform
-from defset.fields import build_field, field, irreducible_polys
+from defset.fields import FieldCtx, field, irreducible_polys
 
 
 @pytest.mark.parametrize("p,m,n", [(3, 3, 8), (3, 4, 29), (3, 2, 1), (3, 5, 71), (5, 3, 19)])
@@ -97,7 +97,7 @@ def test_brute_distribution_cap():
 @pytest.mark.parametrize("p,m", [(3, 4), (5, 3)])
 def test_transform_matches_brute_force_under_second_modulus(p, m):
     modulus = list(itertools.islice(irreducible_polys(p, m), 2))[1]
-    ds = defining_set(build_field(p, m, modulus=modulus))
+    ds = defining_set(FieldCtx(p, m, modulus=modulus))
     assert transform_weight_distribution(ds) == brute_weight_distribution(ds)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from defset.cyclotomic import (ClosedGauss, CycInt, cyc_mul, cyc_root, embed_complex,
+from defset.cyclotomic import (ClosedGauss, CycInt, cyc_root, embed_complex,
                                gauss_closed, gauss_sum_exact)
 from defset.errors import PrimeMismatch
 from defset.fields import field
@@ -38,12 +38,12 @@ def test_add_negation_cancels():
 
 def test_mul_exponents_add_mod_p():
     z1, z2 = cyc_root(3, 1), cyc_root(3, 2)
-    assert cyc_mul(z1, z2) == CycInt.from_int(3, 1)
+    assert z1 * z2 == CycInt.from_int(3, 1)
 
 
 def test_prime_field_gauss_sum_squares_to_minus_three():
     gbar = cyc_root(3, 1) - cyc_root(3, 2)  # zeta - zeta^2
-    assert cyc_mul(gbar, gbar) == CycInt.from_int(3, -3)
+    assert gbar * gbar == CycInt.from_int(3, -3)
 
 
 def test_scale_and_int_detection():
@@ -59,7 +59,7 @@ def test_prime_mismatch():
     with pytest.raises(PrimeMismatch):
         cyc_root(3, 1) + cyc_root(5, 1)
     with pytest.raises(PrimeMismatch):
-        cyc_mul(cyc_root(3, 1), cyc_root(5, 1))
+        cyc_root(3, 1) * cyc_root(5, 1)
 
 
 def test_gauss_sum_exact_f3():
@@ -69,7 +69,7 @@ def test_gauss_sum_exact_f3():
 
 def test_gauss_sum_exact_f5_square():
     g = gauss_sum_exact(field(5, 1))
-    assert cyc_mul(g, g) == CycInt.from_int(5, 5)
+    assert g * g == CycInt.from_int(5, 5)
 
 
 def test_gauss_sum_exact_f9_is_three():
@@ -122,7 +122,7 @@ def test_gauss_square_identity_exact(p, m):
     ctx = field(p, m)
     g = gauss_sum_exact(ctx)
     eta_minus_one = 1 if ((ctx.q - 1) // 2) % 2 == 0 else -1
-    assert cyc_mul(g, g) == CycInt.from_int(p, eta_minus_one * ctx.q)
+    assert g * g == CycInt.from_int(p, eta_minus_one * ctx.q)
 
 
 @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (5, 2), (7, 1), (11, 1), (13, 2)])

@@ -6,19 +6,19 @@ import numpy as np
 import pytest
 
 from defset.errors import DegreeTooSmall, FieldTooLarge, NotOddPrime
-from defset.fields import (DEFAULT_MAX_Q, build_field, field, irreducible_polys, is_irreducible,
+from defset.fields import (DEFAULT_MAX_Q, FieldCtx, field, irreducible_polys, is_irreducible,
                            is_prime, legendre)
 
 
 def test_build_field_m1_modulus_is_x():
-    ctx = build_field(5, 1)
+    ctx = FieldCtx(5, 1)
     assert list(ctx.modulus) == [0, 1]
     assert ctx.q == 5
 
 
 def test_build_field_f9_modulus():
     # -1 is a non-residue mod 3, so x^2 + 1 is the lex-smallest irreducible
-    ctx = build_field(3, 2)
+    ctx = FieldCtx(3, 2)
     assert list(ctx.modulus) == [1, 0, 1]
 
 
@@ -40,7 +40,7 @@ def test_root_filter_keeps_canonical_modulus():
 
 def test_build_field_cap():
     with pytest.raises(FieldTooLarge):
-        build_field(3, 7, max_q=1000)
+        FieldCtx(3, 7, max_q=1000)
 
 
 def test_field_cache_is_keyed_on_p_and_m():
@@ -56,17 +56,17 @@ def test_field_cache_is_keyed_on_p_and_m():
 @pytest.mark.parametrize("p", [1, 2, 4, 9, 15])
 def test_build_field_rejects_bad_characteristic(p):
     with pytest.raises(NotOddPrime):
-        build_field(p, 2)
+        FieldCtx(p, 2)
 
 
 def test_build_field_rejects_degree_zero():
     with pytest.raises(DegreeTooSmall):
-        build_field(3, 0)
+        FieldCtx(3, 0)
 
 
 def test_build_field_deterministic():
-    a = build_field(3, 4)
-    b = build_field(3, 4)
+    a = FieldCtx(3, 4)
+    b = FieldCtx(3, 4)
     assert a.modulus == b.modulus
     assert a.generator == b.generator
     assert np.array_equal(a.antilog, b.antilog)
@@ -74,7 +74,7 @@ def test_build_field_deterministic():
 
 def test_explicit_modulus_validated():
     with pytest.raises(ValueError):
-        build_field(3, 2, modulus=[0, 0, 1])  # x^2 is reducible
+        FieldCtx(3, 2, modulus=[0, 0, 1])  # x^2 is reducible
 
 
 def test_mul_by_zero_absorbs():
@@ -144,7 +144,7 @@ def test_trace_agrees_with_direct_frobenius_sum():
     # the quadratic and bilinear trace forms, under two different moduli
     for p, m in [(3, 4), (5, 3)]:
         for modulus in itertools.islice(irreducible_polys(p, m), 2):
-            ctx = build_field(p, m, modulus=modulus)
+            ctx = FieldCtx(p, m, modulus=modulus)
             tr = [_frobenius_trace(ctx, x) for x in range(ctx.q)]
             assert tr == ctx.trace_table.tolist()
             assert [tr[ctx.square(x)] for x in range(ctx.q)] == ctx.trace_x2.tolist()
@@ -221,8 +221,8 @@ def test_basis_independence_of_trace_multiset():
     for p, m in [(3, 4), (5, 3)]:
         mod_a, mod_b = itertools.islice(irreducible_polys(p, m), 2)
         assert mod_a != mod_b and is_irreducible(mod_b, p)
-        ctx_a = build_field(p, m, modulus=mod_a)
-        ctx_b = build_field(p, m, modulus=mod_b)
+        ctx_a = FieldCtx(p, m, modulus=mod_a)
+        ctx_b = FieldCtx(p, m, modulus=mod_b)
         hist_a = np.bincount(ctx_a.trace_x2_plus_x, minlength=p)
         hist_b = np.bincount(ctx_b.trace_x2_plus_x, minlength=p)
         assert np.array_equal(hist_a, hist_b)

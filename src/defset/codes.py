@@ -118,20 +118,18 @@ def transform_Nb(ds: DefiningSet) -> np.ndarray:
     p, q = ctx.p, ctx.q
     # reshaping in index order keeps digit i on the same axis for x and for c
     indicator = (ctx.trace_x2_plus_x == 0).reshape((p,) * ctx.m)
-    spectrum = np.fft.fftn(indicator).real
-    # y*c scales every digit of c by y, the same permutation on every axis;
+    spectrum = np.fft.fftn(indicator).real.reshape(q)
     # Re F(-c) = Re F(c) pairs y with p - y, and F(0*c) = F(0) for every c
-    total = np.full(spectrum.shape, spectrum.flat[0])
+    total = np.full(q, spectrum[0])
     for y in range(1, (p + 1) // 2):
-        perm = np.arange(p) * y % p
-        total += 2 * spectrum[np.ix_(*[perm] * ctx.m)]
-    counts = total.reshape(q) / p
+        total += 2 * ctx.scaled(spectrum, y)
+    counts = total / p
     rounded = np.rint(counts)
     residual = float(np.abs(counts - rounded).max())
     if not residual < 0.25:
         raise InexactTransform(f"transform counts for p^m = {q} are off an integer "
                                f"by {residual:.3g} (bound 1/4)")
-    return rounded.astype(np.int64)[ctx.trace_dual(np.arange(q))]
+    return rounded.astype(np.int64)[ctx.trace_dual()]
 
 
 def distribution_from_Nb(ds: DefiningSet, nb: np.ndarray) -> WeightDistribution:
@@ -161,13 +159,14 @@ def dual_distance_two(ds: DefiningSet) -> bool:
     whether the dual minimum distance equals 2.
     """
     ctx = ds.ctx
-    if ds.n < 2:
-        return False
-    # the smallest index of each F_p*-orbit names the orbit
-    reps = ds.elements
-    for lam in range(2, ctx.p):
-        reps = np.minimum(reps, ctx.scale(ds.elements, lam))
-    return int(np.unique(reps).size) < ds.n
+    p = ctx.p
+    d0 = ctx.trace_x2_plus_x == 0
+    # x and lambda*x both in D0 pairs with lambda^-1 by x -> lambda*x, so one
+    # lambda of each {lambda, lambda^-1} suffices; x = 0 is always a match
+    for lam in range(2, p):
+        if lam <= pow(lam, -1, p) and np.count_nonzero(d0 & ctx.scaled(d0, lam)) > 1:
+            return True
+    return False
 
 
 def secret_sharing_ratio(dist: WeightDistribution, p: int) -> tuple[int, int, bool]:

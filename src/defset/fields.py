@@ -113,23 +113,20 @@ def _poly_sub(u: Sequence[int], v: Sequence[int], p: int) -> list[int]:
 
 
 def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin's test for a monic polynomial over F_p (constant term first)."""
+    """Ben-Or's test for a monic polynomial over F_p (constant term first).
+
+    f of degree m is irreducible iff gcd(x^(p^i) - x, f) = 1 for every
+    i <= m/2, since a reducible f has an irreducible factor of degree i <= m/2,
+    which divides x^(p^i) - x.  The test stops at the smallest such i.
+    """
     f = _trim([c % p for c in coeffs])
     if len(f) < 2 or f[-1] != 1:
         return False
-    m = len(f) - 1
-    if m == 1:
-        return True
     x = [0, 1]
-    frob = {}
-    cur = x
-    for k in range(1, m + 1):
-        cur = _powmod(cur, p, f, p)
-        frob[k] = cur
-    if _poly_sub(frob[m], x, p):
-        return False
-    for r in _prime_factors(m):
-        if len(_poly_gcd(_poly_sub(frob[m // r], x, p), f, p)) != 1:
+    frob = x
+    for _ in range(1, (len(f) - 1) // 2 + 1):
+        frob = _powmod(frob, p, f, p)
+        if len(_poly_gcd(_poly_sub(frob, x, p), f, p)) != 1:
             return False
     return True
 
@@ -154,11 +151,18 @@ def irreducible_polys(p: int, m: int) -> Iterator[list[int]]:
     for k in range(p ** m):
         coeffs = [(k // p ** i) % p for i in range(m)] + [1]
         # a root a gives the factor x - a, a proper factor once m >= 2; the
-        # root test is much cheaper than Rabin's and rejects most candidates
+        # root test is much cheaper than Ben-Or's and rejects most candidates
         if m >= 2 and _has_root(coeffs, p):
             continue
         if is_irreducible(coeffs, p):
             yield coeffs
+
+
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p in place, for a >= 0: numpy divides by a scalar several times
+    faster than it takes a remainder."""
+    a -= a // p * p
+    return a
 
 
 def _check_size(p: int, m: int, max_q: int) -> int:
@@ -179,7 +183,9 @@ class FieldCtx:
     The checks read the field through forms on the digit vector of an index.
     With t_k = tr(alpha^k), the trace of the k-th power of the modulus's
     companion matrix, tr(x) = sum x_i t_i, tr(x^2) is the quadratic form with
-    Q_ij = t_(i+j), and tr(b*x) is bilinear in the digits of b and x.  The
+    Q_ij = t_(i+j), and tr(b*x) is bilinear in the digits of b and x.  Every
+    per-element table is one such form, built on the (p,)^m digit grid one
+    digit at a time (`_grid_form`), so no q x m table of digits exists.  The
     log/antilog tables of a fixed generator serve only the scalar
     multiplicative API and the brute-force kernels, and are built on first use.
     """
@@ -199,9 +205,9 @@ class FieldCtx:
                 raise ValueError(f"modulus must be monic irreducible of degree {m} over F_{p}")
         self.modulus: tuple[int, ...] = tuple(modulus)
 
+        # stored tables hold values in [0, p): int16 unless p - 1 needs more
+        self._dtype = np.promote_types(np.int16, np.min_scalar_type(1 - p))
         self._pows = p ** np.arange(m, dtype=np.int64)
-        # row x holds the digits of index x; each digit column is contiguous
-        self._digits = np.indices((p,) * m, dtype=np.int16).reshape(m, q)[::-1].T
 
         # multiplication by alpha on coefficient vectors, and its powers C^k, k < 2m-1
         comp = np.eye(m, k=-1, dtype=np.int64)
@@ -212,22 +218,39 @@ class FieldCtx:
         t = np.array([np.trace(c) % p for c in self._comp_pows], dtype=np.int64)
         self._trace_form = t[np.add.outer(np.arange(m), np.arange(m))]
 
-        self.trace_table = self._mod_p(self._linear_form(t[:m]))
+        self.trace_table = self._grid_form(t[:m]).astype(self._dtype)
         assert self.trace_table[0] == 0
         assert self.trace_table[1] == m % p
 
     # -- digit forms ------------------------------------------------------------
 
-    def _linear_form(self, c: np.ndarray) -> np.ndarray:
-        """sum_i c_i * x_i for every index x, unreduced, one digit column at a time."""
-        acc = np.zeros(self.q, dtype=np.int64)
-        for ci, col in zip(np.asarray(c, dtype=np.int64), self._digits.T):
-            if ci:
-                acc += ci * col
-        return acc
+    def _grid_form(self, lin: np.ndarray, quad: np.ndarray | None = None) -> np.ndarray:
+        """sum_i lin_i x_i + sum_ij quad_ij x_i x_j mod p for every index x, in index order.
 
-    def _mod_p(self, values: np.ndarray) -> np.ndarray:
-        return (values % self.p).astype(np.int16)
+        quad is symmetric with entries in [0, p).  Step k extends the form from
+        digits 0..k-1 to digits 0..k, with digit k on the new leading axis, so
+        the flat array stays in index order; cross[j - k] carries
+        sum_(i<k) 2 quad_ij x_i for each later digit j.  The work is about
+        q*p/(p-1) elements per form.
+        """
+        p, m = self.p, self.m
+        # the largest intermediate, (p-1)^2 + 2(p-1) = p^2 - 1, fits int32 while p < 46341
+        work = np.int32 if p < 46341 else np.int64
+        v = np.arange(p, dtype=np.int64)
+        lin = np.asarray(lin, dtype=np.int64) % p
+        vals = np.zeros(1, dtype=work)
+        cross = np.zeros((m, 1), dtype=work)
+        for k in range(m):
+            coef = _mod(cross[0] + work(lin[k]), p)
+            rows = vals + np.multiply.outer(v.astype(work), coef)
+            if quad is not None:
+                # the per-v terms, of length p, are reduced in int64 before the cast
+                rows += (quad[k, k] * (v * v % p) % p).astype(work)[:, None]
+                later = (np.multiply.outer(2 * quad[k, k + 1:] % p, v) % p).astype(work)
+                cross = _mod(cross[1:, None, :] + later[:, :, None], p)
+                cross = cross.reshape(m - k - 1, rows.size)
+            vals = _mod(rows, p).reshape(-1)
+        return vals
 
     # -- multiplicative tables, built on first use ------------------------------
 
@@ -247,7 +270,7 @@ class FieldCtx:
     def antilog(self) -> np.ndarray:
         """g^k for k = 0 .. q-2, built by doubling: block [n, 2n) is g^n times block [0, n)."""
         p, m, q1 = self.p, self.m, self.q - 1
-        g = self._digits[self.generator].astype(np.int64)
+        g = self.element_digits(self.generator)
         step = sum(gi * c for gi, c in zip(g, self._comp_pows)) % p
         cols = np.zeros((m, 1), dtype=np.int64)
         cols[0, 0] = 1
@@ -268,13 +291,15 @@ class FieldCtx:
     # -- scalar arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return self.element_from_digits((self._digits[a] + self._digits[b]).tolist())
+        return self.element_from_digits([u + v for u, v in
+                                         zip(self.element_digits(a), self.element_digits(b))])
 
     def sub(self, a: int, b: int) -> int:
-        return self.element_from_digits((self._digits[a] - self._digits[b]).tolist())
+        return self.element_from_digits([u - v for u, v in
+                                         zip(self.element_digits(a), self.element_digits(b))])
 
     def neg(self, a: int) -> int:
-        return self.element_from_digits((-self._digits[a]).tolist())
+        return self.element_from_digits([-u for u in self.element_digits(a)])
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -314,41 +339,49 @@ class FieldCtx:
 
     def element_digits(self, x: int) -> tuple[int, ...]:
         """Coefficient vector of x, constant term first, length m."""
-        return tuple(self._digits[x].tolist())
+        return tuple(int(x) // self.p ** i % self.p for i in range(self.m))
 
     def element_from_digits(self, digits: Sequence[int]) -> int:
         return sum((c % self.p) * self.p ** i for i, c in enumerate(digits))
 
     # -- vectorized kernels ---------------------------------------------------
 
-    def scale(self, xs: np.ndarray, c: int) -> np.ndarray:
-        """c * x for every index in xs and a prime-field scalar c: each digit scales by c."""
-        return (c * self._digits[xs].astype(np.int64) % self.p) @ self._pows
+    def scaled(self, a: np.ndarray, c: int) -> np.ndarray:
+        """a[c*x] for every index x, for a length-q array a and a prime-field scalar c.
+
+        c*x scales every digit of x by c: the same permutation along each axis
+        of the (p,)^m grid.
+        """
+        perm = _mod(np.arange(self.p) * c, self.p)
+        out = a.reshape((self.p,) * self.m)
+        for axis in range(self.m):
+            out = np.take(out, perm, axis=axis)
+        return out.reshape(self.q)
 
     @cached_property
     def trace_x2(self) -> np.ndarray:
         """tr(x^2) = sum_ij Q_ij x_i x_j for every index x."""
-        acc = np.zeros(self.q, dtype=np.int64)
-        for i, col in enumerate(self._digits.T):
-            # x_i * (Q_ii x_i + 2 sum_(j>i) Q_ij x_j) counts each pair i < j once
-            row = self._trace_form[i].copy()
-            row[:i] = 0
-            row[i + 1:] *= 2
-            acc += col * (self._linear_form(row) % self.p)
-        return self._mod_p(acc)
+        return self._grid_form(np.zeros(self.m, np.int64), self._trace_form).astype(self._dtype)
 
     @cached_property
     def trace_x2_plus_x(self) -> np.ndarray:
         """tr(x^2 + x) for every index x (trace is additive)."""
-        return self._mod_p(self.trace_x2.astype(np.int64) + self.trace_table)
+        s = self.trace_x2.astype(np.int64) + self.trace_table
+        return _mod(s, self.p).astype(self._dtype)
 
     def trace_mul_all(self, b: int) -> np.ndarray:
         """tr(b*x) = sum_ij Q_ij b_i x_j for every index x, as one array."""
-        return self._mod_p(self._linear_form(self._digits[b] @ self._trace_form))
+        return self._grid_form(self.element_digits(b) @ self._trace_form).astype(self._dtype)
 
-    def trace_dual(self, bs: np.ndarray) -> np.ndarray:
-        """Index of c(b) = Q*digits(b) for every b in bs, so tr(b*x) = sum_j c(b)_j x_j."""
-        return (self._digits[bs] @ self._trace_form % self.p) @ self._pows
+    def trace_dual(self) -> np.ndarray:
+        """Index of c(b) = Q*digits(b) for every index b, so tr(b*x) = sum_j c(b)_j x_j.
+
+        Digit j of c(b) is the linear form of b whose coefficients are column j of Q.
+        """
+        out = np.zeros(self.q, dtype=np.int64)
+        for pj, col in zip(self._pows, self._trace_form.T):
+            out += pj * self._grid_form(col)
+        return out
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, m={self.m}, modulus={list(self.modulus)})"

@@ -83,6 +83,18 @@ def test_build_past_default_cap(capsys):
     assert json.loads(out)["distribution"] == [[w, a] for w, a in want.items()]
 
 
+def test_build_past_int16_characteristic(capsys):
+    # every field table holds values up to p - 1, past int16 once p >= 32768;
+    # at m = 1, tr(x^2 + x) = x^2 + x vanishes on F_p* only at x = -1
+    code, out, err = run(capsys, "build", "--p", "32771", "--m", "1", "--max-q", "40000",
+                         "--format", "json")
+    assert code == EXIT_OK, err
+    report = json.loads(out)
+    assert report["n"] == 1
+    assert report["defining_set"] == ["32770"]
+    assert report["distribution"] == [[0, 1], [1, 32770]]
+
+
 def test_predict_55(capsys):
     code, out, _ = run(capsys, "predict", "--p", "5", "--m", "5")
     assert code == EXIT_OK

@@ -1,6 +1,7 @@
 """Defining set, codeword, weight-distribution kernels and structural checks."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from defset.codes import (WeightDistribution, brute_weight_distribution, codewor
                           transform_weight_distribution, weight_of,
                           weight_enumerator_string)
 from defset.errors import EmptyDistribution, FieldTooLarge, InexactTransform
-from defset.fields import FieldCtx, field, irreducible_polys
+from defset.fields import DEFAULT_MAX_Q, FieldCtx, field, irreducible_polys, is_prime
 
 
 @pytest.mark.parametrize("p,m,n", [(3, 3, 8), (3, 4, 29), (3, 2, 1), (3, 5, 71), (5, 3, 19)])
@@ -160,6 +161,30 @@ def test_dual_distance_two_matches_proportionality_search(p, m):
     direct = any(ds.ctx.mul(lam, x) in members
                  for x in ds.elements.tolist() for lam in range(2, p))
     assert dual_distance_two(ds) == direct
+
+
+def _dual_distance_two_by_orbit_minimum(ds):
+    """The smallest index of each F_p*-orbit names the orbit; D has a proportional
+    pair iff two of its elements name the same orbit."""
+    p, m = ds.ctx.p, ds.ctx.m
+    if ds.n < 2:
+        return False
+    pows = p ** np.arange(m)
+    digits = ds.elements[:, None] // pows % p
+    reps = ds.elements
+    for lam in range(2, p):
+        reps = np.minimum(reps, (lam * digits % p) @ pows)
+    return int(np.unique(reps).size) < ds.n
+
+
+SMALL_FIELDS = [(p, m) for p in range(3, math.isqrt(DEFAULT_MAX_Q) + 1) if is_prime(p)
+                for m in range(2, 20) if p ** m <= DEFAULT_MAX_Q]
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS)
+def test_dual_distance_two_matches_orbit_minimum(p, m):
+    ds = defining_set(field(p, m))
+    assert dual_distance_two(ds) == _dual_distance_two_by_orbit_minimum(ds)
 
 
 def test_secret_sharing_ratio():

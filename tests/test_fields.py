@@ -23,7 +23,7 @@ def test_build_field_f9_modulus():
 
 
 def test_root_filter_keeps_canonical_modulus():
-    # the first monic irreducible under a plain Rabin scan, for every odd p and
+    # the first monic irreducible under a plain `is_irreducible` scan, for every odd p and
     # m >= 1 with p^m under the default cap
     def plain_scan(p, m):
         for k in range(p ** m):
@@ -36,6 +36,47 @@ def test_root_filter_keeps_canonical_modulus():
     assert (3, 9) in fields and (19997, 1) in fields
     for p, m in fields:
         assert next(irreducible_polys(p, m)) == plain_scan(p, m), (p, m)
+
+
+def _monic_polys(p, d):
+    for k in range(p ** d):
+        yield [(k // p ** i) % p for i in range(d)] + [1]
+
+
+def _divides(g, f, p):
+    """True iff the monic g divides f over F_p, by long division (constant term first)."""
+    r = list(f)
+    dg = len(g) - 1
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(dg + 1):
+                r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
+    return not any(r[:dg])
+
+
+def _mobius(n):
+    out = 1
+    for d in range(2, n + 1):
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (3, 5), (3, 6), (5, 3), (5, 4), (7, 3)])
+def test_is_irreducible_matches_trial_division(p, m):
+    # a reducible f of degree m has a monic factor of degree at most m/2
+    count = 0
+    for f in _monic_polys(p, m):
+        want = not any(_divides(g, f, p)
+                       for d in range(1, m // 2 + 1) for g in _monic_polys(p, d))
+        assert is_irreducible(f, p) == want, f
+        count += want
+    # Gauss's count of monic irreducibles of degree m
+    assert count * m == sum(_mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0)
 
 
 def test_build_field_cap():
@@ -149,13 +190,56 @@ def test_trace_agrees_with_direct_frobenius_sum():
             assert tr == ctx.trace_table.tolist()
             assert [tr[ctx.square(x)] for x in range(ctx.q)] == ctx.trace_x2.tolist()
             digits = np.array([ctx.element_digits(x) for x in range(ctx.q)])
-            duals = ctx.trace_dual(np.arange(ctx.q))
+            duals = ctx.trace_dual()
             for b in range(ctx.q):
                 want = [tr[ctx.mul(b, x)] for x in range(ctx.q)]
                 assert want == ctx.trace_mul_all(b).tolist(), b
                 # c(b) is the digit vector of the linear form x -> tr(b*x)
                 c = np.array(ctx.element_digits(int(duals[b])))
                 assert want == (digits @ c % p).tolist(), b
+
+
+def _digit_matrix(ctx):
+    """Row x holds the digits of index x, constant term first: the q x m table
+    the per-element forms were once built from, one digit column at a time."""
+    return np.indices((ctx.p,) * ctx.m).reshape(ctx.m, ctx.q)[::-1].T.astype(np.int64)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 7), (5, 5), (13, 3), (191, 2)])
+def test_grid_forms_match_digit_matrix_route(p, m):
+    # (191, 2): p^2 > 2^15, so products in the grid build overflow int16
+    for modulus in itertools.islice(irreducible_polys(p, m), 1 if m == 1 else 2):
+        ctx = FieldCtx(p, m, max_q=p ** m, modulus=modulus)
+        q, digits = ctx.q, _digit_matrix(ctx)
+        alpha = [p ** i for i in range(m)]
+        form = np.array([[_frobenius_trace(ctx, ctx.mul(a, b)) for b in alpha] for a in alpha])
+        assert np.array_equal(ctx.trace_table, digits @ form[0] % p)
+        assert np.array_equal(ctx.trace_x2, ((digits @ form) * digits).sum(1) % p)
+        duals = (digits @ form % p) @ np.array(alpha)
+        assert np.array_equal(ctx.trace_dual(), duals)
+        bs = np.arange(q)
+        if q > 5000:
+            # every b would take about a minute here: keep the prime subfield, the
+            # indices divisible by p, the b whose c(b) has every digit p - 1, and a sample
+            rng = np.random.default_rng(p)
+            bs = np.unique(np.concatenate([bs[:p], bs[::p], np.flatnonzero(duals == q - 1),
+                                           rng.choice(q, 256, replace=False)]))
+        for b in bs:
+            assert np.array_equal(ctx.trace_mul_all(int(b)), digits @ (form @ digits[b]) % p), b
+        values = np.random.default_rng(0).permutation(q)
+        for c in range(p):
+            assert np.array_equal(ctx.scaled(values, c), values[(c * digits % p) @ alpha]), c
+
+
+@pytest.mark.parametrize("p", [32771, 46349])
+def test_grid_forms_past_int16_values_and_int32_products(p):
+    # p - 1 needs more than int16 from p = 32769 on, and (p - 1)^2 more than
+    # int32 from p = 46341 on; at m = 1, tr(x) = x and tr(x^2) = x^2
+    ctx = FieldCtx(p, 1, max_q=p)
+    x = np.arange(p, dtype=np.int64)
+    assert np.array_equal(ctx.trace_table, x)
+    assert np.array_equal(ctx.trace_x2, x * x % p)
+    assert np.array_equal(ctx.trace_mul_all(p - 1), (p - 1) * x % p)
 
 
 def test_trace_frobenius_invariance_and_linearity():

@@ -16,7 +16,7 @@ import numpy as np
 
 from .codes import WeightDistribution
 from .errors import CaseMismatch, NonIntegralTableEntry
-from .fields import FieldCtx, field, legendre
+from .fields import FieldCtx, field, legendre, require_odd_prime
 
 
 class CaseTag(enum.Enum):
@@ -67,9 +67,15 @@ def realized_b_classes(ctx: FieldCtx) -> dict[BClass, int]:
     The class of b depends only on (tr(b^2), tr(b)), so the first b with each
     pair represents it.
     """
-    key = ctx.trace_x2[1:].astype(np.int64) * ctx.p + ctx.trace_table[1:]
-    _, first = np.unique(key, return_index=True)
-    return {BClass.from_element(ctx, b): b for b in (np.sort(first) + 1).tolist()}
+    p, q = ctx.p, ctx.q
+    if ctx.m == 1:
+        # tr(b) = b: every b is alone in its class
+        return {BClass.from_element(ctx, b): b for b in range(1, q)}
+    # the smallest b of each of the p^2 <= q pairs, in ascending order
+    first = np.full(p * p, q, dtype=np.int64)
+    np.minimum.at(first, ctx.trace_x2[1:].astype(np.int64) * p + ctx.trace_table[1:],
+                  np.arange(1, q))
+    return {BClass.from_element(ctx, b): b for b in np.sort(first[first < q]).tolist()}
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -338,6 +344,7 @@ def predicted_distribution(p: int, m: int) -> PredictedDistribution:
     Pruning subsumes the four-weight degeneration at m = 3 with p = 2 mod 3,
     where the multiplicity of (p-1)*p^(m-2) vanishes.
     """
+    require_odd_prime(p)
     tag = classify(p, m)
     merged: dict[int, int] = {}
     for w, a in _table_rows(p, m, tag):

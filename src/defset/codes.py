@@ -68,7 +68,8 @@ class WeightDistribution:
     @classmethod
     def from_weights(cls, weights: np.ndarray) -> WeightDistribution:
         counts = np.bincount(np.asarray(weights, dtype=np.int64))
-        return cls({w: int(c) for w, c in enumerate(counts) if c})
+        present = np.flatnonzero(counts)
+        return cls(dict(zip(present.tolist(), counts[present].tolist())))
 
     def items(self) -> list[tuple[int, int]]:
         return list(self.entries.items())
@@ -105,43 +106,46 @@ def brute_weight_distribution(ds: DefiningSet, cap: int | None = None) -> Weight
     return WeightDistribution.from_weights(weights)
 
 
-def transform_Nb(ds: DefiningSet) -> np.ndarray:
-    """N_b = |{x : tr(x^2 + x) = 0 and tr(b*x) = 0}| for every b in F_q, from one DFT.
+def transform_Nc(ds: DefiningSet) -> np.ndarray:
+    """N_c = |{x in D0 : sum_j c_j x_j = 0}| for every digit vector c, indexed like x.
 
-    With F the DFT of the indicator of D0 = {x : tr(x^2 + x) = 0} (x = 0
-    included), N_c = |{x in D0 : sum_j c_j x_j = 0}| = (1/p) sum_(y in F_p) F(y*c),
-    because the characters of F_p sum to p at 0 and to 0 elsewhere (MacWilliams
-    & Sloane, ch. 5).  As tr(b*x) = <c(b), x>, N_b = N_(c(b)); N_0 = n0.  The
-    float counts are rounded only once every residual is checked below 1/4.
+    D0 = {x : tr(x^2 + x) = 0} includes x = 0.  The characters of F_p sum to
+    p at 0 and to 0 elsewhere (MacWilliams & Sloane, ch. 5), so
+    p*N_c = n0 + sum_(y != 0) sum_(x in D0) zeta^(<c, y*x>), and the sum over
+    y is the DFT at c of f(x) = |{y in F_p* : y*x in D0}|.  For y != 0,
+    y*x is in D0 iff y*tr(x^2) + tr(x) = 0, so f(x) is p - 1 where
+    tr(x^2) = tr(x) = 0, 1 where neither vanishes, and 0 elsewhere.  As
+    tr(b*x) = <c(b), x> (`FieldCtx.trace_dual`), N_b = N_(c(b)), and b -> c(b)
+    is a permutation that fixes 0.  The float counts are rounded only once
+    every residual is checked below 1/4.
     """
     ctx = ds.ctx
     p, q = ctx.p, ctx.q
-    # reshaping in index order keeps digit i on the same axis for x and for c
-    indicator = (ctx.trace_x2_plus_x == 0).reshape((p,) * ctx.m)
-    spectrum = np.fft.fftn(indicator).real.reshape(q)
-    # Re F(-c) = Re F(c) pairs y with p - y, and F(0*c) = F(0) for every c
-    total = np.full(q, spectrum[0])
-    for y in range(1, (p + 1) // 2):
-        total += 2 * ctx.scaled(spectrum, y)
-    counts = total / p
+    z2, z1 = ctx.trace_x2 == 0, ctx.trace_table == 0
+    spectrum = np.where(z2 & z1, p - 1.0, (~z2 & ~z1).astype(np.float64))
+    # one axis per pass on contiguous rows: the FFT runs over the lowest digit,
+    # and the transpose moves that digit to the top, so m passes restore index order
+    for _ in range(ctx.m):
+        spectrum = np.fft.fft(spectrum.reshape(q // p, p), axis=1).T
+    counts = (ds.n0 + spectrum.real.reshape(q)) / p
     rounded = np.rint(counts)
     residual = float(np.abs(counts - rounded).max())
     if not residual < 0.25:
         raise InexactTransform(f"transform counts for p^m = {q} are off an integer "
                                f"by {residual:.3g} (bound 1/4)")
-    return rounded.astype(np.int64)[ctx.trace_dual()]
+    return rounded.astype(np.int64)
 
 
 def distribution_from_Nb(ds: DefiningSet, nb: np.ndarray) -> WeightDistribution:
-    """The distribution of wt(c_b) = n0 - N_b over every b, with c_0 the zero word."""
+    """Distribution of wt(c_b) = n0 - N_b, with c_0 the zero word; nb is indexed by b or c(b)."""
     weights = ds.n0 - nb
     weights[0] = 0
     return WeightDistribution.from_weights(weights)
 
 
 def transform_weight_distribution(ds: DefiningSet) -> WeightDistribution:
-    """Exact distribution over all p^m codewords from one DFT over F_p^m (`transform_Nb`)."""
-    return distribution_from_Nb(ds, transform_Nb(ds))
+    """Exact distribution over all p^m codewords from one DFT over F_p^m (`transform_Nc`)."""
+    return distribution_from_Nb(ds, transform_Nc(ds))
 
 
 def power_moment_check(dist: WeightDistribution, p: int, m: int, n: int) -> tuple[bool, bool]:
@@ -158,15 +162,11 @@ def dual_distance_two(ds: DefiningSet) -> bool:
     pair d_i = lambda * d_j is exactly a weight-2 dual word, which decides
     whether the dual minimum distance equals 2.
     """
+    # d and lambda*d in D with lambda != 0, 1 give (lambda^2 - lambda)*tr(d^2) = 0,
+    # so tr(d^2) = tr(d) = 0; conversely every multiple of such a d != 0 is in D.
+    # x = 0 is always one solution
     ctx = ds.ctx
-    p = ctx.p
-    d0 = ctx.trace_x2_plus_x == 0
-    # x and lambda*x both in D0 pairs with lambda^-1 by x -> lambda*x, so one
-    # lambda of each {lambda, lambda^-1} suffices; x = 0 is always a match
-    for lam in range(2, p):
-        if lam <= pow(lam, -1, p) and np.count_nonzero(d0 & ctx.scaled(d0, lam)) > 1:
-            return True
-    return False
+    return int(np.count_nonzero((ctx.trace_x2 == 0) & (ctx.trace_table == 0))) > 1
 
 
 def secret_sharing_ratio(dist: WeightDistribution, p: int) -> tuple[int, int, bool]:

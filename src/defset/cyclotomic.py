@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOddPrime, PrimeMismatch
-from .fields import FieldCtx, is_prime
+from .errors import PrimeMismatch
+from .fields import FieldCtx, require_odd_prime
 
 
 class CycInt:
@@ -173,8 +173,7 @@ def gauss_closed(p: int, m: int = 1) -> ClosedGauss:
     unit = (-1)^(m-1) * i^((p-1)^2 * m / 4), half_exponent = m; m = 1 gives
     the prime-field sum.
     """
-    if p == 2 or not is_prime(p):
-        raise NotOddPrime(f"p={p} is not an odd prime")
+    require_odd_prime(p)
     e = ((p - 1) ** 2 * m // 4) % 4
     unit = (1, 1j, -1, -1j)[e] * (-1) ** (m - 1)
     return ClosedGauss(p, unit, m)

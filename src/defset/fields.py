@@ -30,10 +30,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) in {-1, 0, +1}; p must be an odd prime."""
+def require_odd_prime(p: int) -> None:
     if p == 2 or not is_prime(p):
         raise NotOddPrime(f"p={p} is not an odd prime")
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) in {-1, 0, +1}; p must be an odd prime."""
+    require_odd_prime(p)
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
 
@@ -167,8 +171,7 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
 
 def _check_size(p: int, m: int, max_q: int) -> int:
     """q = p^m, after checking that p is an odd prime, m >= 1 and q <= max_q."""
-    if p == 2 or not is_prime(p):
-        raise NotOddPrime(f"p={p} is not an odd prime")
+    require_odd_prime(p)
     if m < 1:
         raise DegreeTooSmall(f"extension degree m={m} must be >= 1")
     q = p ** m
@@ -346,18 +349,6 @@ class FieldCtx:
 
     # -- vectorized kernels ---------------------------------------------------
 
-    def scaled(self, a: np.ndarray, c: int) -> np.ndarray:
-        """a[c*x] for every index x, for a length-q array a and a prime-field scalar c.
-
-        c*x scales every digit of x by c: the same permutation along each axis
-        of the (p,)^m grid.
-        """
-        perm = _mod(np.arange(self.p) * c, self.p)
-        out = a.reshape((self.p,) * self.m)
-        for axis in range(self.m):
-            out = np.take(out, perm, axis=axis)
-        return out.reshape(self.q)
-
     @cached_property
     def trace_x2(self) -> np.ndarray:
         """tr(x^2) = sum_ij Q_ij x_i x_j for every index x."""
@@ -373,15 +364,15 @@ class FieldCtx:
         """tr(b*x) = sum_ij Q_ij b_i x_j for every index x, as one array."""
         return self._grid_form(self.element_digits(b) @ self._trace_form).astype(self._dtype)
 
-    def trace_dual(self) -> np.ndarray:
-        """Index of c(b) = Q*digits(b) for every index b, so tr(b*x) = sum_j c(b)_j x_j.
+    def trace_dual(self, b):
+        """The index of c(b) = Q*digits(b), for an index b or an array of them.
 
-        Digit j of c(b) is the linear form of b whose coefficients are column j of Q.
+        tr(b*x) = sum_j c(b)_j x_j, and Q is nondegenerate, so b -> c(b)
+        permutes F_q and fixes 0.
         """
-        out = np.zeros(self.q, dtype=np.int64)
-        for pj, col in zip(self._pows, self._trace_form.T):
-            out += pj * self._grid_form(col)
-        return out
+        digits = np.asarray(b, dtype=np.int64)[..., None] // self._pows % self.p
+        c = digits @ self._trace_form % self.p @ self._pows
+        return int(c) if c.ndim == 0 else c
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, m={self.m}, modulus={list(self.modulus)})"

@@ -8,7 +8,7 @@ from __future__ import annotations
 import time
 
 from .codes import (LemmaCheck, VerifyReport, defining_set, distribution_from_Nb,
-                    dual_distance_two, power_moment_check, secret_sharing_ratio, transform_Nb)
+                    dual_distance_two, power_moment_check, secret_sharing_ratio, transform_Nc)
 from .closed_form import (ORACLES, CaseTag, THEOREM_NUMBER, classify, lemma8_value,
                           lemma9_B, lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc,
                           lemma17_vc, lemma_Nb_predicted, predicted_distribution,
@@ -45,14 +45,14 @@ CLAIMS = {
 CHECK_FAMILIES = tuple(CLAIMS)
 
 
-def run_lemma_suite(ctx, nb) -> list[LemmaCheck]:
+def run_lemma_suite(ctx, nc) -> list[LemmaCheck]:
     """Compare every applicable closed form against its enumeration oracle on ctx.
 
-    nb[b] = N_b = |{x : tr(x^2 + x) = 0 and tr(b*x) = 0}| for every b in F_q,
-    so nb[0] = n0, as `transform_Nb` counts them.
+    nc[c] = |{x : tr(x^2 + x) = 0 and <c, x> = 0}| for every digit vector c, as
+    `transform_Nc` counts them, so N_b = nc[c(b)] and nc[0] = n0.
     """
     p, m = ctx.p, ctx.m
-    n0 = int(nb[0])
+    n0 = int(nc[0])
     out: list[LemmaCheck] = []
 
     def add(check_id, params, closed, brute):
@@ -66,10 +66,12 @@ def run_lemma_suite(ctx, nb) -> list[LemmaCheck]:
     add("lemma8", {}, lemma8_value(p, m), p * n0 - ctx.q)
     nb_id = _NB_LEMMA_ID[classify(p, m)]
     classes = realized_b_classes(ctx)
+    reps = list(classes.values())
+    nb = dict(zip(reps, nc[ctx.trace_dual(reps)].tolist()))
     for cls in sorted(classes, key=lambda c: (c.t2, c.t1, c.disc)):
         b = classes[cls]
         params = {"t2": cls.t2, "t1": cls.t1, "disc": cls.disc, "b": b}
-        nb_b = int(nb[b])
+        nb_b = nb[b]
         add("lemma9", params, lemma9_B(p, m, cls), p * p * nb_b - p * n0)
         add(nb_id, params, lemma_Nb_predicted(p, m, cls), nb_b)
     for a in range(p):
@@ -117,13 +119,13 @@ def run_verification(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q,
     pred = predicted_distribution(p, m)
 
     need_dist = bool({"distribution", "moments", "ss-ratio"} & set(checks))
-    nb = transform_Nb(ds) if need_dist or "lemmas" in checks else None
-    dist = distribution_from_Nb(ds, nb) if need_dist else None
+    nc = transform_Nc(ds) if need_dist or "lemmas" in checks else None
+    dist = distribution_from_Nb(ds, nc) if need_dist else None
     match = (dist == pred.with_zero_word() and ds.n == pred.n) if dist else None
     moments = power_moment_check(dist, p, m, ds.n) if dist else None
     dual = dual_distance_two(ds) if "dual" in checks else None
     ss = secret_sharing_ratio(dist, p) if dist else None
-    lemmas = run_lemma_suite(ctx, nb) if "lemmas" in checks else []
+    lemmas = run_lemma_suite(ctx, nc) if "lemmas" in checks else []
     gauss = gauss_checks(ctx) if "gauss" in checks else []
 
     holds = {

@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from defset import verify
@@ -93,6 +92,14 @@ def test_build_past_int16_characteristic(capsys):
     assert report["n"] == 1
     assert report["defining_set"] == ["32770"]
     assert report["distribution"] == [[0, 1], [1, 32770]]
+
+
+@pytest.mark.parametrize("p,m", [("1", "4"), ("9", "2"), ("25", "4"), ("2", "2"), ("-3", "2")])
+def test_predict_rejects_p_not_an_odd_prime(capsys, p, m):
+    # even m evaluates no Legendre symbol, so the table itself must check p
+    code, out, err = run(capsys, "predict", "--p", p, "--m", m)
+    assert code == EXIT_USAGE, out
+    assert "not an odd prime" in err and not out
 
 
 def test_predict_55(capsys):
@@ -304,10 +311,8 @@ def test_verify_p139_m2_all_lemmas_match(capsys):
     assert obj["checks"]["match"] is True
 
 
-def test_inexact_transform_is_exit_1(capsys, monkeypatch):
+def test_inexact_transform_is_exit_1(capsys, inexact_fft_34):
     # a result that cannot be certified is a failed check, not a usage error
-    fftn = np.fft.fftn
-    monkeypatch.setattr(np.fft, "fftn", lambda a: fftn(a) + 0.3)
     code, _, err = run(capsys, "verify", "--p", "3", "--m", "4")
     assert code == EXIT_MISMATCH
     assert "by 0.3" in err

@@ -9,7 +9,7 @@ import pytest
 from defset.codes import (WeightDistribution, brute_weight_distribution, codeword,
                           count_Nb, defining_set, distribution_csv,
                           dual_distance_two, export_defining_set,
-                          power_moment_check, secret_sharing_ratio,
+                          power_moment_check, secret_sharing_ratio, transform_Nc,
                           transform_weight_distribution, weight_of,
                           weight_enumerator_string)
 from defset.errors import EmptyDistribution, FieldTooLarge, InexactTransform
@@ -102,11 +102,28 @@ def test_transform_matches_brute_force_under_second_modulus(p, m):
     assert transform_weight_distribution(ds) == brute_weight_distribution(ds)
 
 
-def test_transform_refuses_to_round_inexact_counts(monkeypatch):
-    fftn = np.fft.fftn
-    monkeypatch.setattr(np.fft, "fftn", lambda a: fftn(a) + 0.3)
+def test_transform_refuses_to_round_inexact_counts(inexact_fft_34):
     with pytest.raises(InexactTransform, match="by 0.3"):
         transform_weight_distribution(defining_set(field(3, 4)))
+    assert len(inexact_fft_34) == 4
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (3, 4), (7, 2)])
+def test_transform_Nc_counts_each_orthogonal_hyperplane(p, m):
+    # N_c = |{x in D0 : sum_j c_j x_j = 0}| for every c, under two moduli
+    for modulus in itertools.islice(irreducible_polys(p, m), 2):
+        ctx = FieldCtx(p, m, modulus=modulus)
+        digits = np.array([ctx.element_digits(x) for x in range(ctx.q)])
+        d0 = digits[ctx.trace_x2_plus_x == 0]
+        direct = np.count_nonzero(d0 @ digits.T % p == 0, axis=0)
+        assert np.array_equal(transform_Nc(defining_set(ctx)), direct)
+
+
+def test_transform_Nc_at_c_of_b_is_N_b():
+    ctx = field(3, 4)
+    nc = transform_Nc(defining_set(ctx))
+    for b in range(ctx.q):
+        assert nc[ctx.trace_dual(b)] == count_Nb(ctx, b), b
 
 
 def test_linearity_of_codewords():

@@ -190,7 +190,7 @@ def test_trace_agrees_with_direct_frobenius_sum():
             assert tr == ctx.trace_table.tolist()
             assert [tr[ctx.square(x)] for x in range(ctx.q)] == ctx.trace_x2.tolist()
             digits = np.array([ctx.element_digits(x) for x in range(ctx.q)])
-            duals = ctx.trace_dual()
+            duals = ctx.trace_dual(np.arange(ctx.q))
             for b in range(ctx.q):
                 want = [tr[ctx.mul(b, x)] for x in range(ctx.q)]
                 assert want == ctx.trace_mul_all(b).tolist(), b
@@ -216,7 +216,7 @@ def test_grid_forms_match_digit_matrix_route(p, m):
         assert np.array_equal(ctx.trace_table, digits @ form[0] % p)
         assert np.array_equal(ctx.trace_x2, ((digits @ form) * digits).sum(1) % p)
         duals = (digits @ form % p) @ np.array(alpha)
-        assert np.array_equal(ctx.trace_dual(), duals)
+        assert np.array_equal(ctx.trace_dual(np.arange(q)), duals)
         bs = np.arange(q)
         if q > 5000:
             # every b would take about a minute here: keep the prime subfield, the
@@ -226,9 +226,7 @@ def test_grid_forms_match_digit_matrix_route(p, m):
                                            rng.choice(q, 256, replace=False)]))
         for b in bs:
             assert np.array_equal(ctx.trace_mul_all(int(b)), digits @ (form @ digits[b]) % p), b
-        values = np.random.default_rng(0).permutation(q)
-        for c in range(p):
-            assert np.array_equal(ctx.scaled(values, c), values[(c * digits % p) @ alpha]), c
+            assert ctx.trace_dual(int(b)) == duals[b]
 
 
 @pytest.mark.parametrize("p", [32771, 46349])

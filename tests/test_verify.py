@@ -7,7 +7,7 @@ import pytest
 
 from defset import cli
 from defset.closed_form import ORACLES, THEOREM_NUMBER, classify, realized_b_classes
-from defset.codes import count_Nb, defining_set, transform_Nb
+from defset.codes import count_Nb, defining_set, transform_Nc
 from defset.fields import DEFAULT_MAX_Q, field
 from defset.verify import _NB_LEMMA_ID, CLAIMS, run_lemma_suite
 
@@ -54,10 +54,10 @@ def test_perfbench_replay_matches_run_verification(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("p,m", [(3, 5), (5, 3), (7, 4), (13, 2), (71, 2)])
 def test_lemma_suite_reads_nb_of_each_class(p, m):
-    # the suite reads N_b and B_b off the transform's vector; the per-b passes
+    # the suite reads N_b and B_b off the transform's vector at c(b); the per-b passes
     # over F_q are the independent reference
     ctx = field(p, m)
-    checks = run_lemma_suite(ctx, transform_Nb(defining_set(ctx)))
+    checks = run_lemma_suite(ctx, transform_Nc(defining_set(ctx)))
     reps = set(realized_b_classes(ctx).values())
     nb_checks = [c for c in checks if c.id == _NB_LEMMA_ID[classify(p, m)]]
     lemma9 = [c for c in checks if c.id == "lemma9"]

@@ -115,6 +115,8 @@ class _Settings:
 
     A config key is the dest of a value-taking flag of the running subcommand
     (`max_q`, `format`, ...), and that flag's type and choices check its value.
+    The entries come from the first of flags and config that names any of
+    `grid`, `p` and `m`; a source that names both `grid` and `p` or `m` is an error.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -157,16 +159,18 @@ class _Settings:
         if not self.checks or not set(self.checks) <= set(CHECK_FAMILIES):
             raise DefSetError(f"bad check selection {checks!r} (want a nonempty comma list of: "
                               f"{', '.join(CHECK_FAMILIES)})")
-        grid = pick("grid")
-        if grid is not None:
-            self.entries = _parse_grid(grid)
-            self.single = False
-        else:
+        named = [{k for k in ("grid", "p", "m") if getattr(args, k, None) is not None},
+                 {"grid", "p", "m"} & set(cfg)]
+        if any("grid" in keys and len(keys) > 1 for keys in named):
+            raise DefSetError("give either a grid or p and m, not both")
+        self.single = "grid" not in next((keys for keys in named if keys), set())
+        if self.single:
             p, m = pick("p"), pick("m")
             if p is None or m is None:
                 raise DefSetError("need --p and --m (or --grid)")
             self.entries = [(p, m)]
-            self.single = True
+        else:
+            self.entries = _parse_grid(pick("grid"))
 
 
 def _parse_grid(text: str) -> list[tuple[int, int]]:
@@ -310,8 +314,8 @@ def cmd_gauss(args: argparse.Namespace) -> int:
 
 # --- entry point ----------------------------------------------------------------
 
-def _subcommand(sub, name: str, func, help: str,
-                grid: bool = False) -> argparse.ArgumentParser:
+def _subcommand(sub, name: str, func, help: str, grid: bool = False, max_q: bool = True,
+                formats=("json", "csv", "text")) -> argparse.ArgumentParser:
     sp = sub.add_parser(name, help=help)
     sp.set_defaults(func=func, parser=sp)
     sp.add_argument("--p", type=int, default=None, help="odd prime characteristic")
@@ -319,14 +323,15 @@ def _subcommand(sub, name: str, func, help: str,
     if grid:
         sp.add_argument("--grid", type=str, default=None,
                         help="batch of entries as 'p,m;p,m;...'")
-    sp.add_argument("--max-q", dest="max_q", type=int, default=None,
-                    help=f"cap on q = p^m, which bounds the size of the field tables and of "
-                    f"the weight transform (default {DEFAULT_MAX_Q}; env CAP)")
-    sp.add_argument("--format", choices=("json", "csv", "text"), default=None)
+    if max_q:
+        sp.add_argument("--max-q", dest="max_q", type=int, default=None,
+                        help=f"cap on q = p^m, which bounds the size of the field tables and "
+                        f"of the weight transform (default {DEFAULT_MAX_Q}; env CAP)")
+    sp.add_argument("--format", choices=formats, default=None)
     sp.add_argument("--out", type=str, default=None, help="write output to this path")
     sp.add_argument("--config", type=str, default=None,
                     help="key=value config file, keys named like the flags' dests "
-                    "(max_q=...); flags and env win over it")
+                    "(format=...); flags and env win over it")
     return sp
 
 
@@ -342,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="skip the weight distribution (one DFT over F_p^m)")
 
     _subcommand(sub, "predict", cmd_predict,
-                "closed-form length and weight table, no enumeration")
+                "closed-form length and weight table, no enumeration", max_q=False)
 
     sp = _subcommand(sub, "verify", cmd_verify,
                      "enumeration vs closed forms, lemma oracles, invariants", grid=True)
@@ -351,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--timestamps", action="store_true",
                     help="include runtime_ms in reports (off for byte-stable output)")
 
-    _subcommand(sub, "gauss", cmd_gauss, "exact Gauss sum vs closed form")
+    _subcommand(sub, "gauss", cmd_gauss, "exact Gauss sum vs closed form",
+                formats=("json", "text"))
     return parser
 
 

@@ -372,15 +372,18 @@ def _oracle_lemma8(ctx: FieldCtx) -> int:
     return ctx.p * n0 - ctx.q
 
 
-def _oracle_lemma9(ctx: FieldCtx, b: int) -> int:
+def lemma9_from_counts(p: int, q: int, nb: int, n0: int, zb: int) -> int:
+    """B_b from N_b, n0 = |{x : tr(x^2 + x) = 0}| and Z_b = |{x : tr(b*x) = 0}|."""
     # tr(y*x^2 + y*x + b*z*x) = y*tr(x^2 + x) + z*tr(b*x) for scalars y, z, so
     # B_b = sum_x (p*[tr(x^2 + x) = 0] - 1) * (p*[tr(b*x) = 0] - 1)
-    #     = p^2*N_b - p*n0 - p*Z_b + q, with Z_b = |{x : tr(b*x) = 0}|
-    p = ctx.p
+    return p * p * nb - p * n0 - p * zb + q
+
+
+def _oracle_lemma9(ctx: FieldCtx, b: int) -> int:
     s0 = ctx.trace_x2_plus_x == 0
     t0 = ctx.trace_mul_all(b) == 0
     nb, n0, zb = (int(np.count_nonzero(v)) for v in (s0 & t0, s0, t0))
-    return p * p * nb - p * n0 - p * zb + ctx.q
+    return lemma9_from_counts(ctx.p, ctx.q, nb, n0, zb)
 
 
 def _oracle_lemma10(ctx: FieldCtx, a: int) -> int:

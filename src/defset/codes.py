@@ -208,7 +208,11 @@ class LemmaCheck:
 
 @dataclass
 class VerifyReport:
-    """Structured comparison of brute force against the closed-form prediction."""
+    """Structured comparison of the enumerated code against the closed-form prediction.
+
+    `n_bruteforce` and `distribution_bruteforce` hold the enumeration by `transform_Nc`;
+    the names match the report's JSON and CSV keys, which stay for byte stability.
+    """
 
     p: int
     m: int

@@ -20,14 +20,7 @@ DEFAULT_MAX_Q = 20_000
 
 @functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def require_odd_prime(p: int) -> None:
@@ -297,10 +290,6 @@ class FieldCtx:
         return self.element_from_digits([u + v for u, v in
                                          zip(self.element_digits(a), self.element_digits(b))])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.element_from_digits([u - v for u, v in
-                                         zip(self.element_digits(a), self.element_digits(b))])
-
     def neg(self, a: int) -> int:
         return self.element_from_digits([-u for u in self.element_digits(a)])
 
@@ -331,14 +320,10 @@ class FieldCtx:
         return int(self.trace_table[x])
 
     def quad_char(self, x: int) -> int:
-        """Quadratic character: 0 at 0, else x^((q-1)/2) mapped onto {+1, -1}."""
+        """Quadratic character: 0 at 0, else eta(g^k) = (-1)^k for the generator g."""
         if x == 0:
             return 0
-        h = self.pow(x, (self.q - 1) // 2)
-        if h == 1:
-            return 1
-        assert h == self.p - 1
-        return -1
+        return -1 if self.log[x] % 2 else 1
 
     def element_digits(self, x: int) -> tuple[int, ...]:
         """Coefficient vector of x, constant term first, length m."""

@@ -10,9 +10,9 @@ import time
 from .codes import (LemmaCheck, VerifyReport, defining_set, distribution_from_Nb,
                     dual_distance_two, power_moment_check, secret_sharing_ratio, transform_Nc)
 from .closed_form import (ORACLES, CaseTag, THEOREM_NUMBER, classify, lemma8_value,
-                          lemma9_B, lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc,
-                          lemma17_vc, lemma_Nb_predicted, predicted_distribution,
-                          realized_b_classes)
+                          lemma9_B, lemma9_from_counts, lemma10_N0a, lemma11_counts,
+                          lemma12_V, lemma16_uc, lemma17_vc, lemma_Nb_predicted,
+                          predicted_distribution, realized_b_classes)
 from .cyclotomic import CycInt, embed_complex, gauss_closed, gauss_sum_exact
 from .fields import DEFAULT_MAX_Q, field
 
@@ -58,12 +58,7 @@ def run_lemma_suite(ctx, nc) -> list[LemmaCheck]:
     def add(check_id, params, closed, brute):
         out.append(LemmaCheck(check_id, params, closed, brute, closed == brute))
 
-    # sum_(y in F_p*) zeta_p^(y*s) = p*[s = 0] - 1, so the lemma-8 sum over
-    # y in F_p*, x in F_q is p*n0 - q, and the lemma-9 sum over y, z in F_p*
-    # is p^2*N_b - p*n0 for b != 0, where tr(b*x) = 0 on q/p elements (see
-    # closed_form._oracle_lemma9).  The lemma-9 and N_b checks of a class are
-    # therefore tied by this identity: both compare the same count N_b.
-    add("lemma8", {}, lemma8_value(p, m), p * n0 - ctx.q)
+    add("lemma8", {}, lemma8_value(p, m), ORACLES["lemma8"](ctx))
     nb_id = _NB_LEMMA_ID[classify(p, m)]
     classes = realized_b_classes(ctx)
     reps = list(classes.values())
@@ -72,7 +67,10 @@ def run_lemma_suite(ctx, nc) -> list[LemmaCheck]:
         b = classes[cls]
         params = {"t2": cls.t2, "t1": cls.t1, "disc": cls.disc, "b": b}
         nb_b = nb[b]
-        add("lemma9", params, lemma9_B(p, m, cls), p * p * nb_b - p * n0)
+        # tr(b*x) = 0 on q/p elements for b != 0, so the lemma-9 and N_b
+        # checks of a class both compare the one count N_b
+        add("lemma9", params, lemma9_B(p, m, cls),
+            lemma9_from_counts(p, ctx.q, nb_b, n0, ctx.q // p))
         add(nb_id, params, lemma_Nb_predicted(p, m, cls), nb_b)
     for a in range(p):
         add("lemma10", {"a": a}, lemma10_N0a(p, m, a), ORACLES["lemma10"](ctx, a=a))

@@ -246,6 +246,7 @@ def test_gauss_examples(capsys):
 def test_usage_errors(capsys):
     assert run(capsys, "predict")[0] == EXIT_USAGE
     assert run(capsys, "verify", "--grid", "nonsense")[0] == EXIT_USAGE
+    assert run(capsys, "verify", "--p", "3", "--m", "3", "--grid", "5,3")[0] == EXIT_USAGE
     assert run(capsys, "verify", "--p", "4", "--m", "2")[0] == EXIT_USAGE
     for checks in ("bogus", ",", ""):
         assert run(capsys, "verify", "--p", "3", "--m", "3",
@@ -263,14 +264,24 @@ def test_malformed_numeric_settings_are_usage_errors(tmp_path, capsys, monkeypat
     assert code == EXIT_USAGE and "'max_q'" in err
 
 
-def test_settings_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--p", "3", "--m", "3", "--jobs", "2"])
-    assert exc.value.code == EXIT_USAGE
+def test_settings_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, monkeypatch):
+    for argv in (["verify", "--p", "3", "--m", "3", "--jobs", "2"],
+                 ["predict", "--p", "3", "--m", "3", "--max-q", "5"],
+                 ["gauss", "--p", "3", "--m", "1", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE, argv
+    capsys.readouterr()
+    # predict builds no field, so the cap's environment variable is not its setting
+    monkeypatch.setenv("CAP", "abc")
+    assert run(capsys, "predict", "--p", "3", "--m", "3")[0] == EXIT_OK
+    monkeypatch.delenv("CAP")
     cfg = tmp_path / "run.cfg"
     for command, text, key in (("verify", "p=3\nm=3\njobs=2\n", "'jobs'"),
                                ("predict", "grid=3,3;5,3\n", "'grid'"),
                                ("predict", "p=3\nm=3\nchecks=lemmas\n", "'checks'"),
+                               ("predict", "p=3\nm=3\nmax_q=5\n", "'max_q'"),
+                               ("gauss", "p=3\nm=1\nformat=csv\n", "'format'"),
                                ("verify", "p=3\nm=3\nmax-q=5\n", "'max-q'"),
                                ("verify", "p=3\nm=3\nformat=xml\n", "'format'")):
         cfg.write_text(text)
@@ -341,6 +352,14 @@ def test_config_file(tmp_path, capsys):
     # flags win over the config file
     code, out, _ = run(capsys, "verify", "--config", str(cfg), "--m", "3")
     assert json.loads(out)["m"] == 3
+    # the entries come whole from the first source that names any of grid, p and m
+    cfg.write_text("grid=7,3\nformat=json\n")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg), "--p", "3", "--m", "3")
+    assert code == EXIT_OK
+    assert (json.loads(out)["p"], json.loads(out)["m"]) == (3, 3)
+    cfg.write_text("grid=7,3\np=3\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (EXIT_USAGE, "") and "grid" in err
 
 
 def test_out_file(tmp_path, capsys):

@@ -15,6 +15,7 @@ from defset.codes import (brute_weight_distribution, count_Nb, defining_set,
 from defset.cyclotomic import CycInt, gauss_sum_exact
 from defset.errors import CaseMismatch, NonIntegralTableEntry
 from defset.fields import DEFAULT_MAX_Q, field, is_prime
+from defset.verify import run_verification
 
 
 @pytest.mark.parametrize("p,m,tag", [
@@ -97,6 +98,24 @@ def test_table_totals_and_integrality():
         assert len({w for w, _ in pred.rows}) == len(pred.rows)
         # both power moments hold for every predicted table
         assert sum(w * a for w, a in pred.rows) == p ** (m - 1) * (p - 1) * pred.n
+
+
+def test_second_pless_moment_on_closed_form_tables():
+    # sum w^2 A_w = p^(m-2) [(p-1)n((p-1)n + 1) + 2 B_2], with B_2 = C(p-1, 2) (N00 - 1)
+    # weight-2 dual words and N00 = |{x : tr(x^2) = tr(x) = 0}| from lemma 10
+    # (MacWilliams & Sloane, ch. 5): tables far past enumeration, closed forms only
+    tables = 0
+    for p in filter(is_prime, range(3, 200)):
+        for m in range(3, 200):
+            if p ** m > 10 ** 40:
+                break
+            pred = predicted_distribution(p, m)
+            n = pred.n
+            b2 = math.comb(p - 1, 2) * (lemma10_N0a(p, m, 0) - 1)
+            want = p ** (m - 2) * ((p - 1) * n * ((p - 1) * n + 1) + 2 * b2)
+            assert sum(w * w * a for w, a in pred.rows) == want, (p, m)
+            tables += 1
+    assert tables == 998
 
 
 def test_tables_reject_m1():
@@ -343,3 +362,10 @@ def test_theorems_hold_on_every_small_field(p, m):
     ds = defining_set(field(p, m))
     assert ds.n == pred.n
     assert transform_weight_distribution(ds) == pred.with_zero_word()
+
+
+@pytest.mark.parametrize("p,m", SMALL_FIELDS)
+def test_lemmas_and_gauss_hold_on_every_small_field(p, m):
+    # the lemma closed forms and the Gauss checks on the same fields, not only the grid
+    rep = run_verification(p, m, checks=("lemmas", "gauss"))
+    assert rep.lemma_checks and all(c.match for c in rep.lemma_checks)

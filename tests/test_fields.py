@@ -274,6 +274,12 @@ def test_quad_char_basics():
     assert ctx.quad_char(0) == 0
     assert ctx.quad_char(ctx.generator) == -1
     assert ctx.quad_char(1) == 1
+    # Euler's criterion: eta(x) = x^((q-1)/2), which is 1 or -1 = p - 1
+    for p, m in [(3, 2), (5, 3), (7, 2)]:
+        ctx = field(p, m)
+        for x in range(1, ctx.q):
+            h = ctx.pow(x, (ctx.q - 1) // 2)
+            assert h in (1, p - 1) and ctx.quad_char(x) == (1 if h == 1 else -1), (p, m, x)
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 4)])

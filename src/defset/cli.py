@@ -201,6 +201,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_build(args: argparse.Namespace) -> int:
     st = _Settings(args)
+    if args.no_enumerate and st.fmt == "csv":
+        raise DefSetError("--no-enumerate excludes --format csv, whose output is the "
+                          "weight distribution that --no-enumerate skips")
     p, m = st.entries[0]
     ctx = field(p, m, st.max_q)
     ds = defining_set(ctx)
@@ -226,7 +229,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     if dist is not None:
         lines.append(weight_enumerator_string(dist))
     print("\n".join(lines))
-    if st.fmt == "csv" and dist is not None:
+    if st.fmt == "csv":
         print(distribution_csv(dist), end="")
     if st.out:
         _emit(d_export, st.out)
@@ -264,6 +267,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     st = _Settings(args)
+    if args.timestamps and st.fmt != "json":
+        raise DefSetError("--timestamps needs --format json, the only format with runtime_ms")
     reports = [run_verification(p, m, max_q=st.max_q, checks=st.checks)
                for p, m in st.entries]
 
@@ -354,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checks", type=str, default=None,
                     help="comma list of: " + ",".join(CHECK_FAMILIES))
     sp.add_argument("--timestamps", action="store_true",
-                    help="include runtime_ms in reports (off for byte-stable output)")
+                    help="include runtime_ms in JSON reports (off for byte-stable output)")
 
     _subcommand(sub, "gauss", cmd_gauss, "exact Gauss sum vs closed form",
                 formats=("json", "text"))

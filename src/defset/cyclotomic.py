@@ -64,13 +64,12 @@ class CycInt:
             return CycInt(self.p, [a * other for a in self.coeffs])
         if isinstance(other, CycInt):
             self._check(other)
-            out = [0] * self.p
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        if b:
-                            out[(i + j) % self.p] += a * b
-            return CycInt(self.p, out)
+            # sum|a|, sum|b| and their product bound each input, partial sum and result
+            sa, sb = sum(map(abs, self.coeffs)), sum(map(abs, other.coeffs))
+            dtype = np.int64 if max(sa, sb, sa * sb) < 2 ** 63 else object
+            full = np.convolve(np.array(self.coeffs, dtype), np.array(other.coeffs, dtype))
+            full[:self.p - 1] += full[self.p:]  # zeta^p = 1
+            return CycInt(self.p, full[:self.p])
         return NotImplemented
 
     __rmul__ = __mul__

@@ -242,6 +242,13 @@ def test_gauss_examples(capsys):
     assert sq[0] == {"id": "lemma5_square_identity", "closed": 5, "oracle": 5,
                      "match": True}
 
+    # the largest prime m = 1 case tested; (q-1)/2 = 4986 is even, so G^2 = +q
+    code, out, _ = run(capsys, "gauss", "--p", "9973", "--m", "1", "--format", "json")
+    assert code == EXIT_OK
+    sq = [c for c in json.loads(out)["checks"] if c["id"] == "lemma5_square_identity"]
+    assert sq[0] == {"id": "lemma5_square_identity", "closed": 9973, "oracle": 9973,
+                     "match": True}
+
 
 def test_usage_errors(capsys):
     assert run(capsys, "predict")[0] == EXIT_USAGE
@@ -272,6 +279,21 @@ def test_settings_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, 
             main(argv)
         assert exc.value.code == EXIT_USAGE, argv
     capsys.readouterr()
+    # a flag whose output the chosen format does not carry; the format may come from config
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text("format=csv\n")
+    for argv, names in (
+            (["verify", "--p", "3", "--m", "3", "--format", "csv", "--timestamps"],
+             ("--timestamps", "--format json")),
+            (["verify", "--p", "3", "--m", "3", "--format", "text", "--timestamps"],
+             ("--timestamps", "--format json")),
+            (["build", "--p", "3", "--m", "3", "--format", "csv", "--no-enumerate"],
+             ("--no-enumerate", "--format csv")),
+            (["build", "--p", "3", "--m", "3", "--config", str(cfg), "--no-enumerate"],
+             ("--no-enumerate", "--format csv"))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert all(name in err for name in names), err
     # predict builds no field, so the cap's environment variable is not its setting
     monkeypatch.setenv("CAP", "abc")
     assert run(capsys, "predict", "--p", "3", "--m", "3")[0] == EXIT_OK

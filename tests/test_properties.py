@@ -80,6 +80,34 @@ def test_cycint_ring_axioms(p, data):
     assert a + (-a) == CycInt.zero(p)
 
 
+def schoolbook_product(p, a, b):
+    """sum over i, j of a_i * b_j * zeta^(i+j), one coefficient pair at a time."""
+    out = [0] * p
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[(i + j) % p] += ai * bj
+    return CycInt(p, out)
+
+
+# +-2^20 keeps sum|a| * sum|b| under 2^63 (int64 products); +-2^40 fits int64 but its
+# products need not, and +-2^70 does not fit at all (both take Python ints)
+COEFF_BOUNDS = st.sampled_from([2 ** 20, 2 ** 40, 2 ** 70])
+
+
+@given(st.sampled_from([3, 5, 7, 11]), COEFF_BOUNDS, COEFF_BOUNDS, st.data())
+def test_cycint_product_matches_schoolbook(p, bound_a, bound_b, data):
+    a = data.draw(st.lists(st.integers(-bound_a, bound_a), min_size=p, max_size=p))
+    b = data.draw(st.lists(st.integers(-bound_b, bound_b), min_size=p, max_size=p))
+    assert CycInt(p, a) * CycInt(p, b) == schoolbook_product(p, a, b)
+
+
+def test_cycint_product_of_zero_and_a_wide_value():
+    # sum|a| * sum|b| = 0 here, but a's coefficients alone do not fit in int64
+    wide = CycInt(5, [0, 2 ** 70, -(2 ** 64), 3, 0])
+    assert wide * CycInt.zero(5) == CycInt.zero(5)
+    assert CycInt.zero(5) * wide == CycInt.zero(5)
+
+
 @given(st.sampled_from([3, 5, 7]), st.data())
 def test_cycint_embedding_is_ring_homomorphism(p, data):
     a = CycInt(p, data.draw(st.lists(st.integers(-9, 9), min_size=p, max_size=p)))

@@ -12,10 +12,12 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .codes import (VerifyReport, defining_set, distribution_csv, export_defining_set,
                     transform_weight_distribution, weight_enumerator_string)
 from .closed_form import THEOREM_NUMBER, classify, predicted_distribution
-from .cyclotomic import embed_complex, gauss_closed, gauss_sum_exact
+from .cyclotomic import gauss_closed
 from .errors import DefSetError, FieldTooLarge, InexactTransform, NonIntegralTableEntry
 from .fields import DEFAULT_MAX_Q, field
 from .verify import CHECK_FAMILIES, CLAIMS, gauss_checks, run_verification
@@ -189,6 +191,52 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     return entries
 
 
+# class of each byte of the one-line JSON text: 1 opens a container, -1 closes
+# one, 2 separates items, 3 delimits a string
+_BYTE_CLASS = np.zeros(256, np.int8)
+_BYTE_CLASS[list(b"{[")] = 1
+_BYTE_CLASS[list(b"}]")] = -1
+_BYTE_CLASS[ord(",")] = 2
+_BYTE_CLASS[ord('"')] = 3
+
+
+def dumps_indent2(obj) -> str:
+    """Exactly `json.dumps(obj, indent=2)`, indented from the C encoder's one-line text.
+
+    CPython encodes in pure Python whenever `indent` is set, which at large p
+    costs more than the verification it reports.  The C encoder writes the
+    same tokens on one line; this puts `"\\n" + "  " * depth` after every
+    non-empty open and every comma, and before every non-empty close.
+    """
+    flat = json.dumps(obj, separators=(",", ": ")).encode()  # ASCII: a byte per char
+    # a backslash always opens an escape, and the encoder never writes a NUL, so
+    # with \\ and then \" masked every '"' left delimits a string
+    masked = flat.replace(b"\\\\", b"\0\0").replace(b'\\"', b"\0\0")
+    cls = np.take(_BYTE_CLASS, np.frombuffer(masked, np.uint8))
+    pos = np.flatnonzero(cls != 0).astype(np.int32)
+    kind = cls[pos]
+    quote = kind == 3
+    keep = ~(np.bitwise_xor.accumulate(quote) | quote)  # outside strings
+    # an open right before a close is an empty container, written as is
+    empty = (kind[:-1] == 1) & (kind[1:] == -1) & (pos[1:] - pos[:-1] == 1)
+    keep[:-1] &= ~empty
+    keep[1:] &= ~empty
+    pos, kind = pos[keep], kind[keep]
+    if not pos.size:
+        return flat.decode()
+    pad = 2 * np.cumsum(np.where(kind == 2, 0, kind), dtype=np.int32) + 1
+    at = pos + (kind != -1)  # where each pad goes in the one-line text
+    shift = np.cumsum(pad, dtype=np.int32)
+    start = at + shift - pad  # and in the output
+    is_pad = np.zeros(len(flat) + int(shift[-1]), bool)
+    is_pad[start] = is_pad[start + pad] = True  # each pad flips in and back out
+    np.bitwise_xor.accumulate(is_pad, out=is_pad)
+    out = np.full(is_pad.size, ord(" "), np.uint8)
+    out[~is_pad] = np.frombuffer(flat, np.uint8)
+    out[start] = ord("\n")
+    return out.tobytes().decode("ascii")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -222,7 +270,7 @@ def cmd_build(args: argparse.Namespace) -> int:
                "enumerator": None if dist is None else weight_enumerator_string(dist),
                "distribution": None if dist is None else [[w, a] for w, a in dist.items()],
                "defining_set": d_export.splitlines()}
-        _emit(json.dumps(obj, indent=2) + "\n", st.out)
+        _emit(dumps_indent2(obj) + "\n", st.out)
         return EXIT_OK
 
     lines = [header]
@@ -249,7 +297,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         obj = {"p": p, "m": m, "case": tag.value, "theorem": THEOREM_NUMBER[tag],
                "length": pred.n, "dimension": pred.dimension,
                "rows": [[w, a] for w, a in pred.rows]}
-        _emit(json.dumps(obj, indent=2) + "\n", st.out)
+        _emit(dumps_indent2(obj) + "\n", st.out)
         return EXIT_OK
     if st.fmt == "csv":
         rows = "\n".join(f"{w},{a}" for w, a in pred.rows)
@@ -275,7 +323,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if st.fmt == "json":
         objs = [report_dict(r, include_runtime=args.timestamps) for r in reports]
         payload = objs[0] if st.single else objs
-        _emit(json.dumps(payload, indent=2) + "\n", st.out)
+        _emit(dumps_indent2(payload) + "\n", st.out)
     elif st.fmt == "csv":
         header = ("p,m,case,theorem,n_predicted,n_bruteforce,match,"
                   "moment1,moment2,dual_distance_two,wmin,wmax,ss_passes,passed")
@@ -290,10 +338,8 @@ def cmd_gauss(args: argparse.Namespace) -> int:
     st = _Settings(args)
     p, m = st.entries[0]
     ctx = field(p, m, st.max_q)
-    checks = gauss_checks(ctx)
-    exact = gauss_sum_exact(ctx)
+    exact, emb, checks = gauss_checks(ctx)
     closed = gauss_closed(p, m)
-    emb = embed_complex(exact)
     ok = all(c.match for c in checks)
     if st.fmt == "json":
         obj = {"p": p, "m": m,
@@ -302,7 +348,7 @@ def cmd_gauss(args: argparse.Namespace) -> int:
                "closed_value": [closed.value().real, closed.value().imag],
                "checks": [{"id": c.id, "closed": c.closed, "oracle": c.oracle,
                            "match": c.match} for c in checks]}
-        _emit(json.dumps(obj, indent=2) + "\n", st.out)
+        _emit(dumps_indent2(obj) + "\n", st.out)
     else:
         lines = [
             f"G exact  = {exact}",

@@ -86,17 +86,19 @@ def run_lemma_suite(ctx, nc) -> list[LemmaCheck]:
     return out
 
 
-def gauss_checks(ctx) -> list[LemmaCheck]:
-    """Exact square identity and the closed-form embedding bound for G."""
+def gauss_checks(ctx) -> tuple[CycInt, complex, list[LemmaCheck]]:
+    """G exactly, its complex embedding, and the exact square identity and
+    closed-form embedding bound checked on them."""
     p, m = ctx.p, ctx.m
     exact = gauss_sum_exact(ctx)
+    emb = embed_complex(exact)
     eta_minus_one = 1 if ((ctx.q - 1) // 2) % 2 == 0 else -1
     square = exact * exact
     want = CycInt.from_int(p, eta_minus_one * ctx.q)
     closed = gauss_closed(p, m)
-    diff = abs(embed_complex(exact) - closed.value())
+    diff = abs(emb - closed.value())
     tol = 1e-9 * p ** (m / 2)
-    return [
+    return exact, emb, [
         LemmaCheck("lemma5_square_identity", {},
                    eta_minus_one * ctx.q,
                    square.to_int() if square.is_rational_int() else str(square),
@@ -124,7 +126,7 @@ def run_verification(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q,
     dual = dual_distance_two(ds) if "dual" in checks else None
     ss = secret_sharing_ratio(dist, p) if dist else None
     lemmas = run_lemma_suite(ctx, nc) if "lemmas" in checks else []
-    gauss = gauss_checks(ctx) if "gauss" in checks else []
+    gauss = gauss_checks(ctx)[2] if "gauss" in checks else []
 
     holds = {
         "distribution": match,

@@ -1,10 +1,12 @@
 """CLI behavior: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
+import sys
 
 import pytest
 
-from defset import verify
+from defset import cyclotomic, verify
 from defset.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from defset.closed_form import PredictedDistribution, predicted_distribution
 from defset.codes import defining_set, dual_distance_two
@@ -80,6 +82,7 @@ def test_build_past_default_cap(capsys):
     assert code == EXIT_OK, err
     want = predicted_distribution(3, 10).with_zero_word()
     assert json.loads(out)["distribution"] == [[w, a] for w, a in want.items()]
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_build_past_int16_characteristic(capsys):
@@ -115,6 +118,7 @@ def test_predict_53_four_rows(capsys):
     obj = json.loads(out)
     assert obj["length"] == 19 and obj["theorem"] == 4
     assert obj["rows"] == [[14, 36], [15, 24], [16, 60], [19, 4]]
+    assert out == json.dumps(obj, indent=2) + "\n"
 
 
 def test_predict_36_rows(capsys):
@@ -180,6 +184,7 @@ def test_verify_timestamps_flag(capsys):
                        "--timestamps")
     assert code == EXIT_OK
     assert "runtime_ms" in out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_verify_corrupted_prediction_fails(capsys, monkeypatch):
@@ -226,7 +231,22 @@ def test_verify_csv_summary(capsys):
     assert row.startswith("3,4,even_coprime,2,29,29,True")
 
 
-def test_gauss_examples(capsys):
+def count_gauss_sum_exact(monkeypatch) -> list:
+    """Count G's constructions through every defset module that imported the builder."""
+    calls = []
+    real = cyclotomic.gauss_sum_exact
+
+    def counted(ctx):
+        calls.append((ctx.p, ctx.m))
+        return real(ctx)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "defset" and getattr(mod, "gauss_sum_exact", None) is real:
+            monkeypatch.setattr(mod, "gauss_sum_exact", counted)
+    return calls
+
+
+def test_gauss_examples(capsys, monkeypatch):
     code, out, _ = run(capsys, "gauss", "--p", "3", "--m", "2")
     assert code == EXIT_OK
     assert "+3" in out and "PASS" in out
@@ -241,13 +261,26 @@ def test_gauss_examples(capsys):
     sq = [c for c in obj["checks"] if c["id"] == "lemma5_square_identity"]
     assert sq[0] == {"id": "lemma5_square_identity", "closed": 5, "oracle": 5,
                      "match": True}
+    assert out == json.dumps(obj, indent=2) + "\n"
 
-    # the largest prime m = 1 case tested; (q-1)/2 = 4986 is even, so G^2 = +q
+    # the largest prime m = 1 case tested; (q-1)/2 = 4986 is even, so G^2 = +q.
+    # One run builds G once, and both formats keep the bytes they had when the
+    # run built it twice (SHA-256 of stdout).
+    calls = count_gauss_sum_exact(monkeypatch)
     code, out, _ = run(capsys, "gauss", "--p", "9973", "--m", "1", "--format", "json")
-    assert code == EXIT_OK
-    sq = [c for c in json.loads(out)["checks"] if c["id"] == "lemma5_square_identity"]
+    assert code == EXIT_OK and calls == [(9973, 1)]
+    obj = json.loads(out)
+    sq = [c for c in obj["checks"] if c["id"] == "lemma5_square_identity"]
     assert sq[0] == {"id": "lemma5_square_identity", "closed": 9973, "oracle": 9973,
                      "match": True}
+    assert out == json.dumps(obj, indent=2) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6f22eb02a3b6a20013b6b19faef39b078e985dfd0df0fdb0466f923e81b6e3fd")
+    calls.clear()
+    code, out, _ = run(capsys, "gauss", "--p", "9973", "--m", "1", "--format", "text")
+    assert code == EXIT_OK and calls == [(9973, 1)]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "71108593fc68f45873e8fdfd408ac2ac196ff3bf12f6d4e9b8e2859bc9f3c63a")
 
 
 def test_usage_errors(capsys):
@@ -342,6 +375,8 @@ def test_verify_p139_m2_all_lemmas_match(capsys):
     obj = json.loads(out)
     assert obj["lemmas"] and all(c["match"] is True for c in obj["lemmas"])
     assert obj["checks"]["match"] is True
+    # the largest report under the default cap (3.9 MB) is the stdlib's bytes
+    assert out == json.dumps(obj, indent=2) + "\n"
 
 
 def test_inexact_transform_is_exit_1(capsys, inexact_fft_34):
@@ -353,7 +388,7 @@ def test_inexact_transform_is_exit_1(capsys, inexact_fft_34):
 
 def test_gauss_and_dual_leave_log_tables_unbuilt():
     ctx = FieldCtx(3, 8)
-    assert all(c.match for c in gauss_checks(ctx))
+    assert all(c.match for c in gauss_checks(ctx)[2])
     assert dual_distance_two(defining_set(ctx))
     assert "antilog" not in vars(ctx) and "log" not in vars(ctx)
 

@@ -1,6 +1,7 @@
-"""The claim table of `defset.verify`, and the benchmark's traced replay of it."""
+"""The claim table of `defset.verify`, the benchmark's traced replay of it, and its reference bytes."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,22 @@ def test_perfbench_replay_matches_run_verification(tmp_path, monkeypatch):
     for rep, (p, m) in zip(replayed, entries):
         real = cli.run_verification(p, m, max_q=DEFAULT_MAX_Q, checks=cli.CHECK_FAMILIES)
         assert replay.same_work(rep, real), (p, m)
+
+
+def test_verify_reports_match_the_benchmark_reference(tmp_path, monkeypatch):
+    # each workload's seed-0 pass, with its flags, as perfbench/run.py checks it: the text
+    # is exactly json.dumps(objs, indent=2) + "\n" and each entry has its recorded SHA-256
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    reference = importlib.import_module("reference")
+    variants = json.loads(reference.REFERENCE.read_text(encoding="utf-8"))["variants"]
+    out = tmp_path / "pass.json"
+    for wl in reference.WORKLOADS.values():
+        ref, entries = variants[wl.variant], wl.draw(0)
+        code = cli.main(["verify", "--grid", reference.grid_arg(entries), "--format", "json",
+                         "--out", str(out), *wl.flags()])
+        assert code == reference.expected_exit(ref, entries), wl.name
+        matching = reference.matching_entries(out.read_text(encoding="utf-8"), ref, entries)
+        assert matching == [True] * len(entries), wl.name
 
 
 @pytest.mark.parametrize("p,m", [(3, 5), (5, 3), (7, 4), (13, 2), (71, 2)])

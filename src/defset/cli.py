@@ -2,13 +2,15 @@
 
 Exit codes are stable: 0 all enabled checks pass, 1 mathematical mismatch or
 a result that cannot be certified (`InexactTransform`, `NonIntegralTableEntry`),
-2 usage error, 3 enumeration cap exceeded.
+2 usage error, 3 a size cap exceeded: the enumeration cap on q, or, for
+`predict`, the interpreter's limit on printing an integer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,7 +21,7 @@ from .codes import (VerifyReport, defining_set, distribution_csv, export_definin
 from .closed_form import THEOREM_NUMBER, classify, predicted_distribution
 from .cyclotomic import gauss_closed
 from .errors import DefSetError, FieldTooLarge, InexactTransform, NonIntegralTableEntry
-from .fields import DEFAULT_MAX_Q, field
+from .fields import DEFAULT_MAX_Q, field, require_odd_prime
 from .verify import CHECK_FAMILIES, CLAIMS, gauss_checks, run_verification
 
 EXIT_OK = 0
@@ -292,7 +294,18 @@ def cmd_predict(args: argparse.Namespace) -> int:
     st = _Settings(args)
     p, m = st.entries[0]
     tag = classify(p, m)
+    require_odd_prime(p)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    unprintable = FieldTooLarge(f"the p={p}, m={m} table has entries that exceed the "
+                                f"{limit}-digit limit on printing an integer "
+                                "(sys.get_int_max_str_digits)")
+    # the at most five multiplicities sum to p^m - 1, so one of them has at
+    # least m*log10(p) - 1 digits; refuse such a table before building it
+    if limit and m > (limit + 2) / math.log10(p):
+        raise unprintable
     pred = predicted_distribution(p, m)
+    if limit and max(pred.n, *(x for row in pred.rows for x in row)) >= 10 ** limit:
+        raise unprintable
     if st.fmt == "json":
         obj = {"p": p, "m": m, "case": tag.value, "theorem": THEOREM_NUMBER[tag],
                "length": pred.n, "dimension": pred.dimension,

@@ -386,42 +386,28 @@ def _oracle_lemma9(ctx: FieldCtx, b: int) -> int:
     return lemma9_from_counts(ctx.p, ctx.q, nb, n0, zb)
 
 
-def _oracle_lemma10(ctx: FieldCtx, a: int) -> int:
-    return int(np.count_nonzero((ctx.trace_x2 == 0) & (ctx.trace_table == a % ctx.p)))
-
-
-def _oracle_lemma11(ctx: FieldCtx) -> tuple[int, int, int]:
-    z2 = ctx.trace_x2 == 0
-    z1 = ctx.trace_table == 0
-    return (int(np.count_nonzero(z2 & ~z1)),
-            int(np.count_nonzero(~z2 & ~z1)),
-            int(np.count_nonzero(~z2 & z1)))
-
-
 def _oracle_lemma12(ctx: FieldCtx) -> int:
-    t1 = ctx.trace_table.astype(np.int64)
-    t2 = ctx.trace_x2.astype(np.int64)
-    hit = (t1 != 0) & ((t1 * t1 - ctx.m * t2) % ctx.p == 0)
-    return int(np.count_nonzero(hit))
+    t = np.arange(1, ctx.p)
+    s = np.arange(ctx.p)[:, None]
+    return int(ctx.trace_pair_counts[:, 1:][(t * t - ctx.m * s) % ctx.p == 0].sum())
 
 
 def _oracle_lemma16(ctx: FieldCtx, c: int) -> int:
     return int(np.count_nonzero(ctx.trace_x2 == c % ctx.p))
 
 
-def _oracle_lemma17(ctx: FieldCtx, c: int) -> int:
-    return int(np.count_nonzero((ctx.trace_x2 == c % ctx.p) & (ctx.trace_table == 0)))
-
-
 # the enumeration oracle of each lemma kind, evaluated on a given FieldCtx
 ORACLES = {
     "lemma8": _oracle_lemma8,
     "lemma9": _oracle_lemma9,
-    "lemma10": _oracle_lemma10,
-    "lemma11": _oracle_lemma11,
+    # lemmas 10, 11, 12 and 17 read H[s, t] = |{x : tr(x^2) = s, tr(x) = t}|
+    "lemma10": lambda ctx, a: int(ctx.trace_pair_counts[0, a % ctx.p]),
+    "lemma11": lambda ctx: (int(ctx.trace_pair_counts[0, 1:].sum()),
+                            int(ctx.trace_pair_counts[1:, 1:].sum()),
+                            int(ctx.trace_pair_counts[1:, 0].sum())),
     "lemma12": _oracle_lemma12,
     "lemma16": _oracle_lemma16,
-    "lemma17": _oracle_lemma17,
+    "lemma17": lambda ctx, c: int(ctx.trace_pair_counts[c % ctx.p, 0]),
 }
 
 

@@ -94,11 +94,6 @@ class CycInt:
             raise ValueError(f"{self!r} is not a rational integer")
         return -self.coeffs[1]
 
-    def embed(self) -> complex:
-        """Evaluate with zeta_p = exp(2*pi*i/p) at double precision."""
-        return sum(c * cmath.exp(2j * cmath.pi * j / self.p)
-                   for j, c in enumerate(self.coeffs) if c)
-
     def __str__(self) -> str:
         if self.is_rational_int():
             return str(self.to_int())
@@ -126,7 +121,8 @@ def cyc_root(p: int, t: int) -> CycInt:
 
 
 def embed_complex(a: CycInt) -> complex:
-    return a.embed()
+    """Evaluate a with zeta_p = exp(2*pi*i/p) at double precision."""
+    return sum(c * cmath.exp(2j * cmath.pi * j / a.p) for j, c in enumerate(a.coeffs) if c)
 
 
 def gauss_sum_exact(ctx: FieldCtx) -> CycInt:

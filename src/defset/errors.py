@@ -14,7 +14,7 @@ class DegreeTooSmall(DefSetError):
 
 
 class FieldTooLarge(DefSetError):
-    """p**m exceeds the enumeration cap."""
+    """p**m exceeds the enumeration cap, or a table entry the integer-printing limit."""
 
 
 class PrimeMismatch(DefSetError):

@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegreeTooSmall, FieldTooLarge, NotOddPrime
+from .errors import CaseMismatch, DegreeTooSmall, FieldTooLarge, NotOddPrime
 
 DEFAULT_MAX_Q = 20_000
 
@@ -114,14 +114,15 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
 
     f of degree m is irreducible iff gcd(x^(p^i) - x, f) = 1 for every
     i <= m/2, since a reducible f has an irreducible factor of degree i <= m/2,
-    which divides x^(p^i) - x.  The test stops at the smallest such i.
+    which divides x^(p^i) - x.  The test stops at the smallest such i.  At
+    i = 1 the gcd is 1 iff f has no root in F_p, which is much cheaper to test.
     """
     f = _trim([c % p for c in coeffs])
-    if len(f) < 2 or f[-1] != 1:
+    if len(f) < 2 or f[-1] != 1 or (len(f) > 2 and _has_root(f, p)):
         return False
     x = [0, 1]
-    frob = x
-    for _ in range(1, (len(f) - 1) // 2 + 1):
+    frob = _powmod(x, p, f, p)
+    for _ in range(2, (len(f) - 1) // 2 + 1):
         frob = _powmod(frob, p, f, p)
         if len(_poly_gcd(_poly_sub(frob, x, p), f, p)) != 1:
             return False
@@ -147,10 +148,6 @@ def irreducible_polys(p: int, m: int) -> Iterator[list[int]]:
     """
     for k in range(p ** m):
         coeffs = [(k // p ** i) % p for i in range(m)] + [1]
-        # a root a gives the factor x - a, a proper factor once m >= 2; the
-        # root test is much cheaper than Ben-Or's and rejects most candidates
-        if m >= 2 and _has_root(coeffs, p):
-            continue
         if is_irreducible(coeffs, p):
             yield coeffs
 
@@ -163,13 +160,20 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def _check_size(p: int, m: int, max_q: int) -> int:
-    """q = p^m, after checking that p is an odd prime, m >= 1 and q <= max_q."""
-    require_odd_prime(p)
+    """q = p^m, after checking that m >= 1, p is an odd prime and q <= max_q.
+
+    A p above max_q is over the cap whatever its primality, so it is refused
+    without the trial division of p, and p^m is never built past max_q.
+    """
     if m < 1:
         raise DegreeTooSmall(f"extension degree m={m} must be >= 1")
-    q = p ** m
-    if q > max_q:
-        raise FieldTooLarge(f"p^m = {q} exceeds the cap {max_q}")
+    if p <= max_q:
+        require_odd_prime(p)
+    q = 1
+    for _ in range(m):
+        q *= p
+        if q > max_q:
+            raise FieldTooLarge(f"p^m = {p}^{m} exceeds the cap {max_q}")
     return q
 
 
@@ -344,6 +348,14 @@ class FieldCtx:
         """tr(x^2 + x) for every index x (trace is additive)."""
         s = self.trace_x2.astype(np.int64) + self.trace_table
         return _mod(s, self.p).astype(self._dtype)
+
+    @cached_property
+    def trace_pair_counts(self) -> np.ndarray:
+        """H[s, t] = |{x : tr(x^2) = s, tr(x) = t}|, for m >= 2, where its p^2 cells are <= q."""
+        if self.m < 2:
+            raise CaseMismatch(f"the (tr x^2, tr x) table needs m >= 2, got m={self.m}")
+        pair = self.trace_x2.astype(np.int64) * self.p + self.trace_table
+        return np.bincount(pair, minlength=self.p ** 2).reshape(self.p, self.p)
 
     def trace_mul_all(self, b: int) -> np.ndarray:
         """tr(b*x) = sum_ij Q_ij b_i x_j for every index x, as one array."""

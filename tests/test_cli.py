@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from defset import cyclotomic, verify
+from defset import cli, cyclotomic, fields, verify
 from defset.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from defset.closed_form import PredictedDistribution, predicted_distribution
 from defset.codes import defining_set, dual_distance_two
@@ -46,6 +46,16 @@ def test_build_example_33(capsys):
     assert "1+6x^4+6x^5+8x^6+6x^7" in out
 
 
+def test_build_csv_report(capsys):
+    # the text report, with the distribution as a CSV block that includes the zero word
+    code, out, _ = run(capsys, "build", "--p", "3", "--m", "3", "--format", "csv")
+    assert code == EXIT_OK
+    assert out == ("[8,3,4]\n1+6x^4+6x^5+8x^6+6x^7\n"
+                   "weight,multiplicity\n0,1\n4,6\n5,6\n6,8\n7,6\n"
+                   "defining set (c0,...,c_{m-1} per line):\n"
+                   "1,0,0\n2,0,0\n2,0,1\n0,1,1\n0,2,1\n0,0,2\n2,1,2\n2,2,2\n")
+
+
 def test_build_writes_defining_set(tmp_path, capsys):
     path = tmp_path / "d.txt"
     code, out, _ = run(capsys, "build", "--p", "3", "--m", "2", "--out", str(path))
@@ -58,6 +68,26 @@ def test_build_cap_exit(capsys):
     code, _, err = run(capsys, "build", "--p", "3", "--m", "9", "--max-q", "1000")
     assert code == EXIT_CAP
     assert "exceeds" in err
+
+
+@pytest.mark.parametrize("p,m", [("3", "10000"), ("3", "9012"), ("3", "30000000"),
+                                 ("10000000000000061", "2"), ("10000000000000062", "2")])
+def test_oversize_field_is_refused_at_once(capsys, p, m):
+    # neither p^m nor its digits are built, and a p above the cap is over it
+    # whether or not it is prime
+    for command in ("verify", "build", "gauss"):
+        code, out, err = run(capsys, command, "--p", p, "--m", m)
+        assert (code, out) == (EXIT_CAP, ""), command
+        assert err == f"error: p^m = {p}^{m} exceeds the cap 20000\n"
+
+
+def test_prime_above_the_cap_is_not_trial_divided(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(fields, "_prime_factors", lambda n: calls.append(n) or [n])
+    fields.is_prime.cache_clear()
+    p = 10000000000000061
+    assert run(capsys, "verify", "--p", str(p), "--m", "2")[0] == EXIT_CAP
+    assert p not in calls
 
 
 def test_build_cap_from_env(capsys, monkeypatch):
@@ -127,6 +157,30 @@ def test_predict_36_rows(capsys):
     assert out == "weight,multiplicity\n162,98\n171,324\n180,306\n"
 
 
+def test_predict_past_the_integer_printing_limit(capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        # the largest entry of the m = 9013 table has 4300 digits, so it still prints
+        code, out, err = run(capsys, "predict", "--p", "3", "--m", "9013", "--format", "json")
+        assert code == EXIT_OK and not err
+        assert len(str(max(max(row) for row in json.loads(out)["rows"]))) == 4300
+        for m in ("9014", "10000000"):
+            for fmt in ("json", "text"):
+                code, out, err = run(capsys, "predict", "--p", "3", "--m", m, "--format", fmt)
+                assert (code, out) == (EXIT_CAP, "")
+                assert err.count("\n") == 1 and "4300-digit" in err
+        # a table that certainly cannot print is refused before it is built
+        monkeypatch.setattr(cli, "predicted_distribution", None)
+        assert run(capsys, "predict", "--p", "3", "--m", "10000000")[0] == EXIT_CAP
+        monkeypatch.undo()
+        # a limit of 0 is no limit
+        sys.set_int_max_str_digits(0)
+        assert run(capsys, "predict", "--p", "3", "--m", "9014")[0] == EXIT_OK
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_verify_single_entry(capsys):
     code, out, _ = run(capsys, "verify", "--p", "3", "--m", "5", "--format", "json")
     assert code == EXIT_OK
@@ -154,6 +208,10 @@ def test_verify_grid(capsys):
     arr = json.loads(out)
     assert [e["p"] for e in arr] == [3, 3] and [e["m"] for e in arr] == [3, 4]
     assert all(e["checks"]["match"] for e in arr)
+    # an empty part between separators is skipped
+    code, out, _ = run(capsys, "verify", "--grid", "3,3;;5,3", "--format", "json")
+    assert code == EXIT_OK
+    assert [(e["p"], e["m"]) for e in json.loads(out)] == [(3, 3), (5, 3)]
 
 
 def test_verify_53_dual_reported_not_asserted(capsys):
@@ -286,6 +344,9 @@ def test_gauss_examples(capsys, monkeypatch):
 def test_usage_errors(capsys):
     assert run(capsys, "predict")[0] == EXIT_USAGE
     assert run(capsys, "verify", "--grid", "nonsense")[0] == EXIT_USAGE
+    for grid in (";", ""):
+        code, _, err = run(capsys, "verify", "--grid", grid)
+        assert code == EXIT_USAGE and "empty grid" in err
     assert run(capsys, "verify", "--p", "3", "--m", "3", "--grid", "5,3")[0] == EXIT_USAGE
     assert run(capsys, "verify", "--p", "4", "--m", "2")[0] == EXIT_USAGE
     for checks in ("bogus", ",", ""):
@@ -417,6 +478,9 @@ def test_config_file(tmp_path, capsys):
     cfg.write_text("grid=7,3\np=3\n")
     code, out, err = run(capsys, "verify", "--config", str(cfg))
     assert (code, out) == (EXIT_USAGE, "") and "grid" in err
+    cfg.write_text("p=3\nm=3\nformat json\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (EXIT_USAGE, "") and "'format json'" in err
 
 
 def test_out_file(tmp_path, capsys):

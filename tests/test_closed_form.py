@@ -316,6 +316,22 @@ def test_lemma17_examples_and_oracle():
         lemma17_vc(3, 3, 0)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_table_oracles_raise_at_m1(p):
+    # at m = 1 the (tr x^2, tr x) table has p^2 > q cells, and the closed forms
+    # of lemmas 10, 11, 12 and 17 raise too; lemmas 8 and 16 hold there
+    ctx = field(p, 1)
+    with pytest.raises(CaseMismatch):
+        ctx.trace_pair_counts
+    for kind, params in [("lemma10", {"a": 0}), ("lemma11", {}), ("lemma12", {}),
+                         ("lemma17", {"c": 1})]:
+        with pytest.raises(CaseMismatch):
+            oracle(kind, p, 1, **params)
+    assert oracle("lemma8", p, 1) == lemma8_value(p, 1)
+    for c in range(p):
+        assert oracle("lemma16", p, 1, c=c) == lemma16_uc(p, 1, c)
+
+
 def test_bclass_from_element():
     ctx = field(3, 4)
     for b in range(1, ctx.q):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from defset.errors import DegreeTooSmall, FieldTooLarge, NotOddPrime
-from defset.fields import (DEFAULT_MAX_Q, FieldCtx, field, irreducible_polys, is_irreducible,
-                           is_prime, legendre)
+from defset.fields import (DEFAULT_MAX_Q, FieldCtx, _poly_gcd, _poly_sub, _powmod, field,
+                           irreducible_polys, is_irreducible, is_prime, legendre)
 
 
 def test_build_field_m1_modulus_is_x():
@@ -23,12 +23,20 @@ def test_build_field_f9_modulus():
 
 
 def test_root_filter_keeps_canonical_modulus():
-    # the first monic irreducible under a plain `is_irreducible` scan, for every odd p and
-    # m >= 1 with p^m under the default cap
+    # the first monic irreducible under a scan with Ben-Or's gcd steps from i = 1,
+    # with no root test, for every odd p and m >= 1 with p^m under the default cap
+    def plain_ben_or(f, p):
+        x = frob = [0, 1]
+        for _ in range((len(f) - 1) // 2):
+            frob = _powmod(frob, p, f, p)
+            if len(_poly_gcd(_poly_sub(frob, x, p), f, p)) != 1:
+                return False
+        return True
+
     def plain_scan(p, m):
         for k in range(p ** m):
             coeffs = [(k // p ** i) % p for i in range(m)] + [1]
-            if is_irreducible(coeffs, p):
+            if plain_ben_or(coeffs, p):
                 return coeffs
 
     fields = [(p, m) for p in range(3, DEFAULT_MAX_Q + 1) if is_prime(p)
@@ -197,6 +205,20 @@ def test_trace_agrees_with_direct_frobenius_sum():
                 # c(b) is the digit vector of the linear form x -> tr(b*x)
                 c = np.array(ctx.element_digits(int(duals[b])))
                 assert want == (digits @ c % p).tolist(), b
+
+
+def test_trace_pair_counts_match_direct_count():
+    # H[s, t] against (tr(x^2), tr(x)) counted by Frobenius sums, under two moduli
+    # for (3,4) and (5,3)
+    ctxs = [field(7, 2), field(13, 2)] + [
+        FieldCtx(p, m, modulus=modulus) for p, m in [(3, 4), (5, 3)]
+        for modulus in itertools.islice(irreducible_polys(p, m), 2)]
+    for ctx in ctxs:
+        want = np.zeros((ctx.p, ctx.p), dtype=np.int64)
+        for x in range(ctx.q):
+            want[_frobenius_trace(ctx, ctx.square(x)), _frobenius_trace(ctx, x)] += 1
+        assert np.array_equal(ctx.trace_pair_counts, want), ctx
+        assert ctx.trace_pair_counts.sum() == ctx.q
 
 
 def _digit_matrix(ctx):

@@ -19,8 +19,7 @@ from .codes import (DefiningSet, VerifyReport, WeightDistribution,
 from .cyclotomic import (ClosedGauss, CycInt, cyc_root, embed_complex,
                          gauss_closed, gauss_sum_exact)
 from .errors import (CaseMismatch, DefSetError, DegreeTooSmall, EmptyDistribution,
-                     FieldTooLarge, InexactTransform, NonIntegralTableEntry, NotOddPrime,
-                     PrimeMismatch)
+                     FieldTooLarge, NonIntegralTableEntry, NotOddPrime, PrimeMismatch)
 from .fields import DEFAULT_MAX_Q, FieldCtx, field, is_irreducible, legendre
 
 __version__ = "0.1.0"
@@ -28,9 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BClass", "CaseMismatch", "CaseTag", "ClosedGauss", "CycInt", "DEFAULT_MAX_Q",
     "DefSetError", "DefiningSet", "DegreeTooSmall", "EmptyDistribution", "FieldCtx",
-    "FieldTooLarge", "G_even", "GGbar_odd", "InexactTransform", "NonIntegralTableEntry",
-    "NotOddPrime", "PredictedDistribution", "PrimeMismatch", "VerifyReport",
-    "WeightDistribution", "brute_weight_distribution", "classify", "codeword",
+    "FieldTooLarge", "G_even", "GGbar_odd", "NonIntegralTableEntry", "NotOddPrime",
+    "PredictedDistribution", "PrimeMismatch", "VerifyReport", "WeightDistribution",
+    "brute_weight_distribution", "classify", "codeword",
     "count_Nb", "cyc_root", "defining_set", "distribution_csv", "dual_distance_two",
     "embed_complex", "export_defining_set", "field", "gauss_closed", "gauss_sum_exact",
     "is_irreducible", "legendre", "lemma10_N0a", "lemma11_counts", "lemma12_V",

@@ -1,9 +1,9 @@
 """Command-line front end: build codes, print predictions, verify, Gauss report.
 
 Exit codes are stable: 0 all enabled checks pass, 1 mathematical mismatch or
-a result that cannot be certified (`InexactTransform`, `NonIntegralTableEntry`),
-2 usage error, 3 a size cap exceeded: the enumeration cap on q, or, for
-`predict`, the interpreter's limit on printing an integer.
+a non-integral closed-form entry (`NonIntegralTableEntry`), 2 usage error, 3 a
+size bound exceeded: the cap on q, the exact range of the transform or of the
+primality test, or, for `predict`, the interpreter's limit on printing an integer.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .codes import (VerifyReport, defining_set, distribution_csv, export_definin
                     transform_weight_distribution, weight_enumerator_string)
 from .closed_form import THEOREM_NUMBER, classify, predicted_distribution
 from .cyclotomic import gauss_closed
-from .errors import DefSetError, FieldTooLarge, InexactTransform, NonIntegralTableEntry
+from .errors import DefSetError, FieldTooLarge, NonIntegralTableEntry
 from .fields import DEFAULT_MAX_Q, field, require_odd_prime
 from .verify import CHECK_FAMILIES, CLAIMS, gauss_checks, run_verification
 
@@ -62,7 +62,7 @@ def report_dict(rep: VerifyReport, include_runtime: bool = False) -> dict:
     return out
 
 
-def _report_text(rep: VerifyReport) -> str:
+def _report_text(rep: VerifyReport, checks: tuple[str, ...]) -> str:
     lines = [
         f"p={rep.p} m={rep.m} case={rep.case} theorem={rep.theorem}",
         f"  length: predicted={rep.n_predicted} bruteforce={rep.n_bruteforce}",
@@ -82,9 +82,11 @@ def _report_text(rep: VerifyReport) -> str:
             if not c.match:
                 lines.append(f"    MISMATCH {c.id} {c.params}: closed={c.closed} oracle={c.oracle}")
     if rep.outside_theorem_hypothesis:
-        gating = [f for f, claim in CLAIMS.items() if claim(rep.p, rep.m)]
-        lines.append("  note: m <= 2 is outside the theorem hypotheses; only "
-                     f"{', '.join(gating)} gate the exit code")
+        gating = [f for f in checks if CLAIMS[f](rep.p, rep.m)]
+        who = f"only {', '.join(gating)}" if gating else "none of the selected checks"
+        verb = "gate" if len(gating) > 1 else "gates"
+        lines.append("  note: m <= 2 is outside the theorem hypotheses; "
+                     f"{who} {verb} the exit code")
     lines.append(f"  result: {'PASS' if rep.passed else 'FAIL'}")
     return "\n".join(lines)
 
@@ -343,7 +345,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         body = "\n".join(_report_csv_row(r) for r in reports)
         _emit(header + "\n" + body + "\n", st.out)
     else:
-        _emit("\n".join(_report_text(r) for r in reports) + "\n", st.out)
+        _emit("\n".join(_report_text(r, st.checks) for r in reports) + "\n", st.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH
 
 
@@ -433,8 +435,8 @@ def main(argv=None) -> int:
     except FieldTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (InexactTransform, NonIntegralTableEntry) as exc:
-        # a numerical or implementation fault: the result cannot be certified
+    except NonIntegralTableEntry as exc:
+        # an implementation fault: the result cannot be certified
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except (DefSetError, OSError) as exc:

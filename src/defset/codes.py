@@ -7,12 +7,13 @@ b ranging over F_q.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import EmptyDistribution, FieldTooLarge, InexactTransform
-from .fields import FieldCtx
+from .errors import EmptyDistribution, FieldTooLarge
+from .fields import FieldCtx, is_prime
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,34 +107,42 @@ def brute_weight_distribution(ds: DefiningSet, cap: int | None = None) -> Weight
     return WeightDistribution.from_weights(weights)
 
 
+def dft_prime(p: int, n0: int) -> int:
+    """The smallest prime l = 1 (mod p) above p*n0, if p*l^2 < 2^53 keeps float64 sums exact."""
+    ell = next(filter(is_prime, itertools.count(p * n0 + 1, p)))
+    if p * ell * ell >= 2 ** 53:
+        raise FieldTooLarge(f"the exact transform needs p*l^2 < 2^53, but p={p} and l={ell}")
+    return ell
+
+
 def transform_Nc(ds: DefiningSet) -> np.ndarray:
     """N_c = |{x in D0 : sum_j c_j x_j = 0}| for every digit vector c, indexed like x.
 
     D0 = {x : tr(x^2 + x) = 0} includes x = 0.  The characters of F_p sum to
     p at 0 and to 0 elsewhere (MacWilliams & Sloane, ch. 5), so
-    p*N_c = n0 + sum_(y != 0) sum_(x in D0) zeta^(<c, y*x>), and the sum over
-    y is the DFT at c of f(x) = |{y in F_p* : y*x in D0}|.  For y != 0,
+    p*N_c = n0 + F(c), with F the DFT of f(x) = |{y in F_p* : y*x in D0}|:
     y*x is in D0 iff y*tr(x^2) + tr(x) = 0, so f(x) is p - 1 where
     tr(x^2) = tr(x) = 0, 1 where neither vanishes, and 0 elsewhere.  As
     tr(b*x) = <c(b), x> (`FieldCtx.trace_dual`), N_b = N_(c(b)), and b -> c(b)
-    is a permutation that fixes 0.  The float counts are rounded only once
-    every residual is checked below 1/4.
+    is a permutation that fixes 0.  n0 + F(c) = p*N_c in [0, p*n0] is its own
+    residue mod l > p*n0: the DFT over F_l, omega of order p for zeta (Pollard 1971).
     """
     ctx = ds.ctx
-    p, q = ctx.p, ctx.q
+    p, q, n0 = ctx.p, ctx.q, ds.n0
+    if ctx.m == 1:  # the kernel of c != 0 is {0}; a p x p W is never built
+        return np.where(np.arange(q) == 0, n0, 1)
+    ell = dft_prime(p, n0)
+    omega = next(w for w in (pow(g, (ell - 1) // p, ell) for g in range(2, ell)) if w != 1)
+    powers = np.array([pow(omega, k, ell) for k in range(p)], dtype=np.float64)
+    w = powers[np.multiply.outer(np.arange(p), np.arange(p)) % p]
     z2, z1 = ctx.trace_x2 == 0, ctx.trace_table == 0
     spectrum = np.where(z2 & z1, p - 1.0, (~z2 & ~z1).astype(np.float64))
-    # one axis per pass on contiguous rows: the FFT runs over the lowest digit,
+    # one axis per pass on contiguous rows: the DFT runs over the lowest digit,
     # and the transpose moves that digit to the top, so m passes restore index order
     for _ in range(ctx.m):
-        spectrum = np.fft.fft(spectrum.reshape(q // p, p), axis=1).T
-    counts = (ds.n0 + spectrum.real.reshape(q)) / p
-    rounded = np.rint(counts)
-    residual = float(np.abs(counts - rounded).max())
-    if not residual < 0.25:
-        raise InexactTransform(f"transform counts for p^m = {q} are off an integer "
-                               f"by {residual:.3g} (bound 1/4)")
-    return rounded.astype(np.int64)
+        spectrum = spectrum.reshape(q // p, p) @ w
+        spectrum = (spectrum - np.floor(spectrum / ell) * ell).T
+    return (n0 + spectrum.reshape(q).astype(np.int64)) % ell // p
 
 
 def distribution_from_Nb(ds: DefiningSet, nb: np.ndarray) -> WeightDistribution:

@@ -14,7 +14,7 @@ class DegreeTooSmall(DefSetError):
 
 
 class FieldTooLarge(DefSetError):
-    """p**m exceeds the enumeration cap, or a table entry the integer-printing limit."""
+    """A size bound is exceeded: the cap on p**m, an exact range, or the printing limit."""
 
 
 class PrimeMismatch(DefSetError):
@@ -31,14 +31,6 @@ class NonIntegralTableEntry(DefSetError):
     This always signals a case-dispatch or implementation bug, never bad user
     input: every table entry divides exactly in its own (parity, divisibility)
     regime.
-    """
-
-
-class InexactTransform(DefSetError):
-    """A floating-point transform count lies too far from an integer to round.
-
-    Like NonIntegralTableEntry, this signals a numerical or implementation
-    fault, never bad user input.
     """
 
 

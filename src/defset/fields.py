@@ -18,12 +18,41 @@ from .errors import CaseMismatch, DegreeTooSmall, FieldTooLarge, NotOddPrime
 DEFAULT_MAX_Q = 20_000
 
 
+# a strong probable prime to these 13 bases is prime below MR_BOUND, and
+# MR_BOUND itself is a composite that passes all 13 (Sorenson & Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 @functools.lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
+    """Deterministic Miller-Rabin over `MR_BASES`: a proof of primality for n < MR_BOUND."""
+    if n < 2:
+        return False
+    for a in MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def require_odd_prime(p: int) -> None:
+    if p >= MR_BOUND:
+        raise FieldTooLarge(f"p={p} is not below {MR_BOUND}, the bound up to which "
+                            "primality is proved")
     if p == 2 or not is_prime(p):
         raise NotOddPrime(f"p={p} is not an odd prime")
 
@@ -163,7 +192,7 @@ def _check_size(p: int, m: int, max_q: int) -> int:
     """q = p^m, after checking that m >= 1, p is an odd prime and q <= max_q.
 
     A p above max_q is over the cap whatever its primality, so it is refused
-    without the trial division of p, and p^m is never built past max_q.
+    without a primality test, and p^m is never built past max_q.
     """
     if m < 1:
         raise DegreeTooSmall(f"extension degree m={m} must be >= 1")

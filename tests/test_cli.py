@@ -81,13 +81,49 @@ def test_oversize_field_is_refused_at_once(capsys, p, m):
         assert err == f"error: p^m = {p}^{m} exceeds the cap 20000\n"
 
 
+def record_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each first argument."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda n: calls.append(n) or real(n))
+    return calls
+
+
 def test_prime_above_the_cap_is_not_trial_divided(capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(fields, "_prime_factors", lambda n: calls.append(n) or [n])
-    fields.is_prime.cache_clear()
+    calls = record_calls(monkeypatch, fields, "is_prime")
     p = 10000000000000061
     assert run(capsys, "verify", "--p", str(p), "--m", "2")[0] == EXIT_CAP
     assert p not in calls
+    # the recorder sees the primality test of a p under the cap
+    assert run(capsys, "verify", "--p", "5", "--m", "2")[0] == EXIT_OK
+    assert 5 in calls
+
+
+def test_predict_proves_a_large_prime_without_factoring_it(capsys, monkeypatch):
+    calls = record_calls(monkeypatch, fields, "_prime_factors")
+    fields.is_prime.cache_clear()
+    p = 10000000000000061
+    code, out, err = run(capsys, "predict", "--p", str(p), "--m", "3")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith(f"p={p} m=3 ") and p not in calls
+    # p^m - 1 sums the table's multiplicities, so the table is the closed form's
+    rows = [line.split(",") for line in out.splitlines()[3:]]
+    assert sum(int(a) for _, a in rows) == p ** 3 - 1
+
+
+def test_predict_refuses_p_past_the_proved_primality_range(capsys):
+    # MR_BOUND is composite, yet a strong probable prime to all 13 bases
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "predict", "--p", str(fields.MR_BOUND), "--m", "3",
+                             "--format", fmt)
+        assert (code, out) == (EXIT_CAP, "")
+        assert err.count("\n") == 1 and str(fields.MR_BOUND) in err
+
+
+def test_transform_past_its_exact_range_is_refused(capsys):
+    # (1553, 2) needs l = 2431999, and 1553*l^2 >= 2^53; stdout stays empty
+    code, out, err = run(capsys, "build", "--p", "1553", "--m", "2", "--max-q", "2500000")
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == "error: the exact transform needs p*l^2 < 2^53, but p=1553 and l=2431999\n"
 
 
 def test_build_cap_from_env(capsys, monkeypatch):
@@ -281,6 +317,18 @@ def test_verify_m2_lemma_mismatch_fails(capsys, monkeypatch):
     assert "MISMATCH lemma8" in out
 
 
+@pytest.mark.parametrize("checks,note", [
+    ("dual", "none of the selected checks gates"),
+    ("dual,gauss", "only gauss gates"),
+    ("ss-ratio,lemmas,moments,distribution", "only lemmas, distribution gate"),
+])
+def test_verify_m2_note_names_the_selected_gating_checks(capsys, checks, note):
+    # at m <= 2 the moments, dual and ss-ratio checks are only reported
+    code, out, _ = run(capsys, "verify", "--p", "3", "--m", "2", "--checks", checks)
+    assert code == EXIT_OK
+    assert f"  note: m <= 2 is outside the theorem hypotheses; {note} the exit code\n" in out
+
+
 def test_verify_csv_summary(capsys):
     code, out, _ = run(capsys, "verify", "--p", "3", "--m", "4", "--format", "csv")
     assert code == EXIT_OK
@@ -438,13 +486,6 @@ def test_verify_p139_m2_all_lemmas_match(capsys):
     assert obj["checks"]["match"] is True
     # the largest report under the default cap (3.9 MB) is the stdlib's bytes
     assert out == json.dumps(obj, indent=2) + "\n"
-
-
-def test_inexact_transform_is_exit_1(capsys, inexact_fft_34):
-    # a result that cannot be certified is a failed check, not a usage error
-    code, _, err = run(capsys, "verify", "--p", "3", "--m", "4")
-    assert code == EXIT_MISMATCH
-    assert "by 0.3" in err
 
 
 def test_gauss_and_dual_leave_log_tables_unbuilt():

@@ -10,11 +10,11 @@ from defset.closed_form import (ORACLES, BClass, CaseTag, G_even, GGbar_odd, cla
                                 lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
                                 lemma_Nb_predicted, oracle, predicted_distribution,
                                 predicted_length, realized_b_classes)
-from defset.codes import (brute_weight_distribution, count_Nb, defining_set,
+from defset.codes import (brute_weight_distribution, count_Nb, defining_set, dft_prime,
                           transform_weight_distribution)
 from defset.cyclotomic import CycInt, gauss_sum_exact
-from defset.errors import CaseMismatch, NonIntegralTableEntry
-from defset.fields import DEFAULT_MAX_Q, field, is_prime
+from defset.errors import CaseMismatch, FieldTooLarge, NonIntegralTableEntry
+from defset.fields import DEFAULT_MAX_Q, FieldCtx, field, is_prime
 from defset.verify import run_verification
 
 
@@ -367,17 +367,41 @@ def test_prediction_matches_enumeration(p, m):
     assert transform_weight_distribution(ds) == brute
 
 
-SMALL_FIELDS = [(p, m) for p in range(3, math.isqrt(DEFAULT_MAX_Q) + 1) if is_prime(p)
-                for m in range(2, 20) if p ** m <= DEFAULT_MAX_Q]
+def fields_up_to(max_q):
+    return [(p, m) for p in range(3, math.isqrt(max_q) + 1) if is_prime(p)
+            for m in range(2, 20) if p ** m <= max_q]
 
 
-@pytest.mark.parametrize("p,m", SMALL_FIELDS)
+SMALL_FIELDS = fields_up_to(DEFAULT_MAX_Q)
+EXACT_SWEEP_FIELDS = fields_up_to(300_000)
+
+
+@pytest.mark.parametrize("p,m", EXACT_SWEEP_FIELDS)
 def test_theorems_hold_on_every_small_field(p, m):
-    # theorems 1-4 at every odd p and m >= 2 under the default cap, not only the grid
+    # theorems 1-4 at every odd p and m >= 2 up to 15 times the default cap,
+    # not only the grid; uncached fields, so the sweep holds no tables
     pred = predicted_distribution(p, m)
-    ds = defining_set(field(p, m))
+    ds = defining_set(FieldCtx(p, m, max_q=p ** m))
     assert ds.n == pred.n
     assert transform_weight_distribution(ds) == pred.with_zero_word()
+
+
+def test_exact_sweep_covers_every_field_up_to_its_bound():
+    assert len(SMALL_FIELDS) == 53 and len(EXACT_SWEEP_FIELDS) == 138
+    assert set(SMALL_FIELDS) < set(EXACT_SWEEP_FIELDS)
+
+
+def test_transform_prime_range():
+    # n0 = |D| + 1 from the verified closed-form length; no field is built
+    ell = dft_prime(1549, predicted_length(1549, 2) + 1)
+    assert ell % 1549 == 1 and is_prime(ell) and 1549 * ell ** 2 < 2 ** 53
+    for p, m in [(1553, 2), (191, 3), (3, 17)]:
+        with pytest.raises(FieldTooLarge, match=r"p\*l\^2 < 2\^53"):
+            dft_prime(p, predicted_length(p, m) + 1)
+    # the smallest prime = 1 (mod p) above p*n0, in the float64 range at every q <= 2e6
+    assert dft_prime(3, 8 + 1) == 31 and dft_prime(5, 19 + 1) == 101
+    for p, m in fields_up_to(2_000_000):
+        dft_prime(p, predicted_length(p, m) + 1)
 
 
 @pytest.mark.parametrize("p,m", SMALL_FIELDS)

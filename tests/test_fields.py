@@ -1,13 +1,15 @@
 """Field construction, arithmetic, trace and character tests."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from defset.errors import DegreeTooSmall, FieldTooLarge, NotOddPrime
-from defset.fields import (DEFAULT_MAX_Q, FieldCtx, _poly_gcd, _poly_sub, _powmod, field,
-                           irreducible_polys, is_irreducible, is_prime, legendre)
+from defset.fields import (DEFAULT_MAX_Q, MR_BOUND, FieldCtx, _poly_gcd, _poly_sub, _powmod,
+                           field, irreducible_polys, is_irreducible, is_prime, legendre,
+                           require_odd_prime)
 
 
 def test_build_field_m1_modulus_is_x():
@@ -85,6 +87,39 @@ def test_is_irreducible_matches_trial_division(p, m):
         count += want
     # Gauss's count of monic irreducibles of degree m
     assert count * m == sum(_mobius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0)
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if by_trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,  # strong pseudoprime to bases 2 ... 31
+    318665857834031151167461,  # strong pseudoprime to bases 2 ... 37
+    561, 1105, 1729, 41041, 825265, 321197185,  # Carmichael numbers
+    2 ** 61 + 1, 10000000000000061 * 10000000000000069,
+])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_proves_large_primes():
+    for p in [2 ** 31 - 1, 2 ** 61 - 1, 10000000000000061, 10000000000000069]:
+        assert is_prime(p)
+
+
+def test_primality_past_the_proved_range_is_refused():
+    # MR_BOUND is composite, yet a strong probable prime to every base, so
+    # is_prime cannot tell it from a prime, and p >= MR_BOUND is refused
+    assert MR_BOUND == 1287836182261 * 2575672364521 and is_prime(MR_BOUND)
+    for p in (MR_BOUND, MR_BOUND + 2, 10 ** 40 + 1):
+        with pytest.raises(FieldTooLarge):
+            require_odd_prime(p)
 
 
 def test_build_field_cap():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,11 @@ class DefiningSet:
         """|D| + 1: the count of all x in F_q with tr(x^2 + x) = 0 (x = 0 included)."""
         return self.n + 1
 
+    @cached_property
+    def trace_basis(self) -> np.ndarray:
+        """T[i, j] = tr(alpha^i * d_j) from the trace table: tr(b*d_j) = sum_i b_i T[i, j] mod p."""
+        return self.ctx.trace_table[self.ctx.basis_multiples(self.elements)]
+
 
 def defining_set(ctx: FieldCtx) -> DefiningSet:
     s = ctx.trace_x2_plus_x
@@ -40,12 +46,8 @@ def defining_set(ctx: FieldCtx) -> DefiningSet:
 
 
 def codeword(ds: DefiningSet, b: int) -> np.ndarray:
-    """c_b over F_p, coordinate i equal to tr(b * d_i)."""
-    ctx = ds.ctx
-    if b == 0:
-        return np.zeros(ds.n, dtype=np.int16)
-    k = (ctx.log[ds.elements] + ctx.log[b]) % (ctx.q - 1)
-    return ctx.trace_table[ctx.antilog[k]]
+    """c_b over F_p, coordinate i equal to tr(b * d_i) = digits(b) . T[:, i]."""
+    return ds.ctx.element_digits(b) @ ds.trace_basis % ds.ctx.p
 
 
 def count_Nb(ctx: FieldCtx, b: int) -> int:
@@ -91,19 +93,20 @@ class WeightDistribution:
 
 
 def brute_weight_distribution(ds: DefiningSet, cap: int | None = None) -> WeightDistribution:
-    """Exact distribution over all p^m codewords, one O(n) pass per b."""
+    """Exact distribution over all p^m codewords: every coordinate of every c_b, as the
+    rows of digits(b) @ T mod p (`codeword`) for blocks of about 2^21 products."""
     ctx = ds.ctx
     if cap is not None and ctx.q > cap:
         raise FieldTooLarge(f"p^m = {ctx.q} exceeds the enumeration cap {cap}")
-    q1 = ctx.q - 1
-    d_logs = ctx.log[ds.elements]
-    t_exp = ctx.trace_table[ctx.antilog]
-    weights = np.zeros(ctx.q, dtype=np.int64)  # b = 0 stays at weight 0
-    buf = np.empty(ds.n, dtype=np.int64)
-    for k in range(q1):
-        np.add(d_logs, k, out=buf)
-        buf[buf >= q1] -= q1
-        weights[ctx.antilog[k]] = np.count_nonzero(t_exp[buf])
+    # float64 is exact: each coordinate sums m products of a digit and a T entry,
+    # both below p, so it is an integer below m*p^2 < 2^53 for every enumerable field
+    basis = ds.trace_basis.astype(np.float64)
+    block = max(1, 2 ** 21 // (ds.n * ctx.m))
+    weights = np.empty(ctx.q, dtype=np.int64)
+    for start in range(0, ctx.q, block):
+        b = np.arange(start, min(start + block, ctx.q))
+        words = ctx.element_digits(b).astype(np.float64) @ basis
+        weights[b] = np.count_nonzero(words != np.floor(words / ctx.p) * ctx.p, axis=1)
     return WeightDistribution.from_weights(weights)
 
 
@@ -195,8 +198,9 @@ def weight_enumerator_string(dist: WeightDistribution) -> str:
 
 def export_defining_set(ds: DefiningSet) -> str:
     """One element per line as 'c0,c1,...,c_(m-1)', low-degree coefficient first."""
-    lines = (",".join(str(c) for c in ds.ctx.element_digits(int(x))) for x in ds.elements)
-    return "\n".join(lines) + "\n"
+    digits = ds.ctx.element_digits(ds.elements)
+    line = ",".join(["%d"] * ds.ctx.m) + "\n"
+    return (line * ds.n) % tuple(digits.ravel().tolist())
 
 
 def distribution_csv(dist: WeightDistribution) -> str:

@@ -64,20 +64,6 @@ def legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # --- polynomial arithmetic over F_p -----------------------------------------
 # Polynomials are lists of ints in [0, p), constant term first, no trailing
 # zeros; [] is the zero polynomial.  Moduli are monic.
@@ -214,9 +200,9 @@ class FieldCtx:
     companion matrix, tr(x) = sum x_i t_i, tr(x^2) is the quadratic form with
     Q_ij = t_(i+j), and tr(b*x) is bilinear in the digits of b and x.  Every
     per-element table is one such form, built on the (p,)^m digit grid one
-    digit at a time (`_grid_form`), so no q x m table of digits exists.  The
-    log/antilog tables of a fixed generator serve only the scalar
-    multiplicative API and the brute-force kernels, and are built on first use.
+    digit at a time (`_grid_form`), so no q x m table of digits exists.  x*y
+    has the digits sum_i x_i C^i digits(y), C the companion matrix (Lidl &
+    Niederreiter, Finite Fields, ch. 2), so no multiplicative table is built.
     """
 
     def __init__(self, p: int, m: int, max_q: int = DEFAULT_MAX_Q,
@@ -241,10 +227,11 @@ class FieldCtx:
         # multiplication by alpha on coefficient vectors, and its powers C^k, k < 2m-1
         comp = np.eye(m, k=-1, dtype=np.int64)
         comp[:, -1] = np.negative(self.modulus[:m]) % p
-        self._comp_pows = [np.eye(m, dtype=np.int64)]
+        comp_pows = [np.eye(m, dtype=np.int64)]
         for _ in range(2 * m - 2):
-            self._comp_pows.append(comp @ self._comp_pows[-1] % p)
-        t = np.array([np.trace(c) % p for c in self._comp_pows], dtype=np.int64)
+            comp_pows.append(comp @ comp_pows[-1] % p)
+        self._comp_pows = np.stack(comp_pows[:m])
+        t = np.array([np.trace(c) % p for c in comp_pows], dtype=np.int64)
         self._trace_form = t[np.add.outer(np.arange(m), np.arange(m))]
 
         self.trace_table = self._grid_form(t[:m]).astype(self._dtype)
@@ -281,55 +268,18 @@ class FieldCtx:
             vals = _mod(rows, p).reshape(-1)
         return vals
 
-    # -- multiplicative tables, built on first use ------------------------------
-
-    @cached_property
-    def generator(self) -> int:
-        """The smallest canonical index of multiplicative order q-1."""
-        q1 = self.q - 1
-        exps = [q1 // r for r in _prime_factors(q1)]
-        f = list(self.modulus)
-        for g in range(2, self.q):
-            poly = list(self.element_digits(g))
-            if all(self.element_from_digits(_powmod(poly, e, f, self.p)) != 1 for e in exps):
-                return g
-        raise AssertionError("no multiplicative generator found")
-
-    @cached_property
-    def antilog(self) -> np.ndarray:
-        """g^k for k = 0 .. q-2, built by doubling: block [n, 2n) is g^n times block [0, n)."""
-        p, m, q1 = self.p, self.m, self.q - 1
-        g = self.element_digits(self.generator)
-        step = sum(gi * c for gi, c in zip(g, self._comp_pows)) % p
-        cols = np.zeros((m, 1), dtype=np.int64)
-        cols[0, 0] = 1
-        while cols.shape[1] < q1:
-            n = cols.shape[1]
-            cols = np.hstack([cols, step @ cols[:, :q1 - n] % p])
-            step = step @ step % p
-        return self._pows @ cols
-
-    @cached_property
-    def log(self) -> np.ndarray:
-        """log_g(x) for every index x; -1 at 0."""
-        log = np.full(self.q, -1, dtype=np.int64)
-        log[self.antilog] = np.arange(self.q - 1, dtype=np.int64)
-        assert (log[1:] >= 0).all(), "antilog table is not a permutation of F_q*"
-        return log
-
     # -- scalar arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return self.element_from_digits([u + v for u, v in
-                                         zip(self.element_digits(a), self.element_digits(b))])
+        return self.element_from_digits(self.element_digits(a) + self.element_digits(b))
 
     def neg(self, a: int) -> int:
-        return self.element_from_digits([-u for u in self.element_digits(a)])
+        return self.element_from_digits(-self.element_digits(a))
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.antilog[(self.log[a] + self.log[b]) % (self.q - 1)])
+        # m^2 terms below p^3 each: int64 is exact for every field whose tables fit in memory
+        return self.element_from_digits(np.einsum("i,ijk,k->j", self.element_digits(a),
+                                                  self._comp_pows, self.element_digits(b)))
 
     def square(self, a: int) -> int:
         return self.mul(a, a)
@@ -337,33 +287,44 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_q")
-        return int(self.antilog[(-self.log[a]) % (self.q - 1)])
+        return self.pow(a, self.q - 2)
 
     def pow(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply; e < 0 inverts, since a^(q-1) = 1 for a != 0."""
         if a == 0:
-            if e == 0:
-                return 1
             if e < 0:
                 raise ZeroDivisionError("0 to a negative power in F_q")
-            return 0
-        return int(self.antilog[(int(self.log[a]) * e) % (self.q - 1)])
+            return 1 if e == 0 else 0
+        result, e = 1, e % (self.q - 1)
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
 
     def trace(self, x: int) -> int:
         """Absolute trace Tr(x) = x + x^p + ... + x^(p^(m-1)), as a value in [0, p)."""
         return int(self.trace_table[x])
 
     def quad_char(self, x: int) -> int:
-        """Quadratic character: 0 at 0, else eta(g^k) = (-1)^k for the generator g."""
+        """Quadratic character by Euler's criterion: eta(x) = x^((q-1)/2), 1 or -1, and 0 at 0."""
         if x == 0:
             return 0
-        return -1 if self.log[x] % 2 else 1
+        return 1 if self.pow(x, (self.q - 1) // 2) == 1 else -1
 
-    def element_digits(self, x: int) -> tuple[int, ...]:
-        """Coefficient vector of x, constant term first, length m."""
-        return tuple(int(x) // self.p ** i % self.p for i in range(self.m))
+    def element_digits(self, x) -> np.ndarray:
+        """Coefficient vector of an index x, constant term first, or of each index in an
+        array x, on a new last axis of length m."""
+        return np.asarray(x, dtype=np.int64)[..., None] // self._pows % self.p
 
     def element_from_digits(self, digits: Sequence[int]) -> int:
-        return sum((c % self.p) * self.p ** i for i, c in enumerate(digits))
+        return int(np.asarray(digits, dtype=np.int64) % self.p @ self._pows)
+
+    def basis_multiples(self, x) -> np.ndarray:
+        """alpha^i * x for i < m on a new first axis: C^i applied to the digits of each x."""
+        prods = np.einsum("ijk,...k->i...j", self._comp_pows, self.element_digits(x))
+        return prods % self.p @ self._pows
 
     # -- vectorized kernels ---------------------------------------------------
 
@@ -396,8 +357,7 @@ class FieldCtx:
         tr(b*x) = sum_j c(b)_j x_j, and Q is nondegenerate, so b -> c(b)
         permutes F_q and fixes 0.
         """
-        digits = np.asarray(b, dtype=np.int64)[..., None] // self._pows % self.p
-        c = digits @ self._trace_form % self.p @ self._pows
+        c = self.element_digits(b) @ self._trace_form % self.p @ self._pows
         return int(c) if c.ndim == 0 else c
 
     def __repr__(self) -> str:

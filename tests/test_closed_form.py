@@ -356,17 +356,6 @@ def test_oracle_unknown_kind():
         oracle("lemma99", 3, 3)
 
 
-@pytest.mark.parametrize("p,m", [(3, 4), (5, 3), (3, 6),
-                                 (3, 3), (3, 5), (3, 8), (5, 4), (5, 5), (7, 3), (7, 4),
-                                 (3, 2), (7, 2), (13, 2), (71, 2)])
-def test_prediction_matches_enumeration(p, m):
-    # the transform kernel that verify runs against the direct per-b loop
-    ds = defining_set(field(p, m))
-    brute = brute_weight_distribution(ds)
-    assert predicted_distribution(p, m).with_zero_word() == brute
-    assert transform_weight_distribution(ds) == brute
-
-
 def fields_up_to(max_q):
     return [(p, m) for p in range(3, math.isqrt(max_q) + 1) if is_prime(p)
             for m in range(2, 20) if p ** m <= max_q]
@@ -374,12 +363,29 @@ def fields_up_to(max_q):
 
 SMALL_FIELDS = fields_up_to(DEFAULT_MAX_Q)
 EXACT_SWEEP_FIELDS = fields_up_to(300_000)
+# the fields past 3*10^5 take about 14 s in all, so they run only under `-m slow`
+SLOW_SWEEP_FIELDS = [pytest.param(p, m, marks=pytest.mark.slow)
+                     for p, m in fields_up_to(2_000_000) if p ** m > 300_000]
+ENUMERATED_FIELDS = [(3, 4), (5, 3), (3, 6), (3, 3), (3, 5), (3, 8), (5, 4), (5, 5), (7, 3),
+                     (7, 4), (3, 2), (7, 2), (13, 2), (71, 2)]
 
 
-@pytest.mark.parametrize("p,m", EXACT_SWEEP_FIELDS)
+# the other 39 fields under the default cap add about 2 s, so they run under `-m slow`
+@pytest.mark.parametrize("p,m", ENUMERATED_FIELDS + [
+    pytest.param(p, m, marks=pytest.mark.slow)
+    for p, m in SMALL_FIELDS if (p, m) not in ENUMERATED_FIELDS])
+def test_prediction_matches_enumeration(p, m):
+    # the transform kernel that verify runs against the reference enumeration
+    ds = defining_set(field(p, m))
+    brute = brute_weight_distribution(ds)
+    assert predicted_distribution(p, m).with_zero_word() == brute
+    assert transform_weight_distribution(ds) == brute
+
+
+@pytest.mark.parametrize("p,m", EXACT_SWEEP_FIELDS + SLOW_SWEEP_FIELDS)
 def test_theorems_hold_on_every_small_field(p, m):
-    # theorems 1-4 at every odd p and m >= 2 up to 15 times the default cap,
-    # not only the grid; uncached fields, so the sweep holds no tables
+    # theorems 1-4 at every odd p and m >= 2 up to 15 times the default cap (100
+    # times under `-m slow`), not only the grid; uncached fields, so the sweep holds no tables
     pred = predicted_distribution(p, m)
     ds = defining_set(FieldCtx(p, m, max_q=p ** m))
     assert ds.n == pred.n
@@ -388,7 +394,9 @@ def test_theorems_hold_on_every_small_field(p, m):
 
 def test_exact_sweep_covers_every_field_up_to_its_bound():
     assert len(SMALL_FIELDS) == 53 and len(EXACT_SWEEP_FIELDS) == 138
+    assert len(EXACT_SWEEP_FIELDS) + len(SLOW_SWEEP_FIELDS) == len(fields_up_to(2_000_000)) == 283
     assert set(SMALL_FIELDS) < set(EXACT_SWEEP_FIELDS)
+    assert set(ENUMERATED_FIELDS) < set(SMALL_FIELDS)
 
 
 def test_transform_prime_range():

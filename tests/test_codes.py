@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from defset.codes import (WeightDistribution, brute_weight_distribution, codeword,
-                          count_Nb, defining_set, distribution_csv,
+from defset.codes import (DefiningSet, WeightDistribution, brute_weight_distribution,
+                          codeword, count_Nb, defining_set, distribution_csv,
                           dual_distance_two, export_defining_set,
                           power_moment_check, secret_sharing_ratio, transform_Nc,
                           transform_weight_distribution, weight_of,
@@ -93,6 +93,21 @@ def test_brute_distribution_cap():
     ds = defining_set(field(3, 5))
     with pytest.raises(FieldTooLarge):
         brute_weight_distribution(ds, cap=100)
+
+
+@pytest.mark.parametrize("p,m", [(3, 4), (7, 3)])
+def test_brute_force_reference_reads_no_quadratic_trace_form(p, m):
+    # a wrong trace form, set before any table is built from it, changes the D0
+    # that the transform counts over, but not the reference, which reads
+    # tr(b*d) as sum_i b_i tr(alpha^i d) through tr(x) and C^i alone
+    good = defining_set(field(p, m))
+    truth = transform_weight_distribution(good)
+    bad_ctx = FieldCtx(p, m)
+    bad_ctx._trace_form = bad_ctx._trace_form[::-1, ::-1]
+    bad = DefiningSet(bad_ctx, good.elements)
+    assert brute_weight_distribution(bad) == truth
+    assert transform_weight_distribution(bad) != truth
+    assert all(np.array_equal(codeword(bad, b), codeword(good, b)) for b in range(good.ctx.q))
 
 
 @pytest.mark.parametrize("p,m", [(3, 4), (5, 3)])
@@ -227,6 +242,14 @@ def test_export_defining_set_format():
         digits = tuple(int(c) for c in line.split(","))
         assert len(digits) == ctx.m
         assert ctx.element_from_digits(digits) == int(x)
+
+
+@pytest.mark.parametrize("p,m", [(11, 1), (13, 2), (3, 6)])
+def test_export_defining_set_matches_per_element_format(p, m):
+    # (11, 1) and (13, 2) have two-character digits
+    ds = defining_set(field(p, m))
+    lines = (",".join(str(int(x) // p ** i % p) for i in range(m)) for x in ds.elements)
+    assert export_defining_set(ds).encode() == ("\n".join(lines) + "\n").encode()
 
 
 def test_distribution_csv_format():

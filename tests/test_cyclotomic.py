@@ -142,10 +142,10 @@ def test_additive_character_orthogonality():
 
 
 def _quad_char_table(ctx):
-    # eta(g^k) = (-1)^k on F_q*, 0 at 0
-    qc = np.zeros(ctx.q, dtype=np.int8)
-    ks = np.arange(ctx.q - 1)
-    qc[ctx.antilog] = np.where(ks % 2 == 0, 1, -1).astype(np.int8)
+    # eta is 1 on the squares {y^2 : y != 0}, -1 on the other units and 0 at 0
+    qc = np.full(ctx.q, -1, dtype=np.int8)
+    qc[[ctx.square(y) for y in range(1, ctx.q)]] = 1
+    qc[0] = 0
     return qc
 
 

@@ -148,12 +148,22 @@ def test_build_field_rejects_degree_zero():
         FieldCtx(3, 0)
 
 
+def _primitive_element(ctx):
+    """The smallest g with g^((q-1)/r) != 1 for each prime r | q-1, r found by trial division."""
+    q1 = ctx.q - 1
+    primes = [r for r in range(2, q1 + 1)
+              if q1 % r == 0 and all(r % d for d in range(2, math.isqrt(r) + 1))]
+    return next(g for g in range(1, ctx.q) if all(ctx.pow(g, q1 // r) != 1 for r in primes))
+
+
 def test_build_field_deterministic():
     a = FieldCtx(3, 4)
     b = FieldCtx(3, 4)
     assert a.modulus == b.modulus
-    assert a.generator == b.generator
-    assert np.array_equal(a.antilog, b.antilog)
+    assert np.array_equal(a.trace_table, b.trace_table)
+    g = _primitive_element(a)
+    assert g == _primitive_element(b)
+    assert [a.pow(g, k) for k in range(a.q - 1)] == [b.pow(g, k) for k in range(b.q - 1)]
 
 
 def test_explicit_modulus_validated():
@@ -167,11 +177,16 @@ def test_mul_by_zero_absorbs():
 
 
 def test_generator_has_full_order():
+    # the powers of g, by repeated multiplication, run through all of F_q* before 1 recurs
     for p, m in [(3, 1), (3, 2), (5, 2), (7, 1), (3, 3)]:
         ctx = field(p, m)
-        assert ctx.pow(ctx.generator, ctx.q - 1) == 1
+        g = _primitive_element(ctx)
+        powers = [1]
         for e in range(1, ctx.q - 1):
-            assert ctx.pow(ctx.generator, e) != 1
+            powers.append(ctx.mul(powers[-1], g))
+            assert powers[-1] != 1 and ctx.pow(g, e) == powers[-1]
+        assert sorted(powers) == list(range(1, ctx.q))
+        assert ctx.pow(g, ctx.q - 1) == ctx.mul(powers[-1], g) == 1
 
 
 def test_f9_square_of_alpha_is_minus_one():
@@ -196,7 +211,7 @@ def test_pow_edge_cases():
     ctx = field(3, 2)
     assert ctx.pow(0, 0) == 1
     assert ctx.pow(0, 5) == 0
-    g = ctx.generator
+    g = _primitive_element(ctx)
     assert ctx.pow(g, -1) == ctx.inv(g)
 
 
@@ -329,14 +344,15 @@ def test_legendre_rejects_even_prime():
 def test_quad_char_basics():
     ctx = field(3, 2)
     assert ctx.quad_char(0) == 0
-    assert ctx.quad_char(ctx.generator) == -1
+    assert ctx.quad_char(_primitive_element(ctx)) == -1
     assert ctx.quad_char(1) == 1
-    # Euler's criterion: eta(x) = x^((q-1)/2), which is 1 or -1 = p - 1
+    # quad_char is Euler's criterion; the reference is the listing of the squares
     for p, m in [(3, 2), (5, 3), (7, 2)]:
         ctx = field(p, m)
+        squares = {ctx.square(y) for y in range(1, ctx.q)}
+        assert len(squares) == (ctx.q - 1) // 2
         for x in range(1, ctx.q):
-            h = ctx.pow(x, (ctx.q - 1) // 2)
-            assert h in (1, p - 1) and ctx.quad_char(x) == (1 if h == 1 else -1), (p, m, x)
+            assert ctx.quad_char(x) == (1 if x in squares else -1), (p, m, x)
 
 
 @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 4)])

@@ -67,15 +67,22 @@ def realized_b_classes(ctx: FieldCtx) -> dict[BClass, int]:
     The class of b depends only on (tr(b^2), tr(b)), so the first b with each
     pair represents it.
     """
-    p, q = ctx.p, ctx.q
+    q = ctx.q
     if ctx.m == 1:
         # tr(b) = b: every b is alone in its class
         return {BClass.from_element(ctx, b): b for b in range(1, q)}
-    # the smallest b of each of the p^2 <= q pairs, in ascending order
+    first = first_of_each_class(ctx)
+    return {BClass.from_element(ctx, b): b for b in np.sort(first[first < q]).tolist()}
+
+
+def first_of_each_class(ctx: FieldCtx) -> np.ndarray:
+    """first[t2*p + t1] = the smallest b != 0 with tr(b^2) = t2 and tr(b) = t1, or q
+    if there is none; for m >= 2, where the p^2 cells are at most q."""
+    p, q = ctx.p, ctx.q
     first = np.full(p * p, q, dtype=np.int64)
     np.minimum.at(first, ctx.trace_x2[1:].astype(np.int64) * p + ctx.trace_table[1:],
                   np.arange(1, q))
-    return {BClass.from_element(ctx, b): b for b in np.sort(first[first < q]).tolist()}
+    return first
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -254,6 +261,76 @@ def lemma_Nb_predicted(p: int, m: int, cls: BClass) -> int:
     return pm2 - legendre(-t2, p) * t
 
 
+def _class_case(p: int, m: int):
+    """(B, N_b) of a class as a function of (t2 = 0, t1 = 0, eta(-t2), eta(m*t2 - t1^2)).
+
+    The same values as `lemma9_B` and `lemma_Nb_predicted`, which stay the
+    reference, stated once per regime with the Gauss quantities computed once.
+    """
+    pm2 = _require_m2(p, m)
+    tag = classify(p, m)
+    if tag in (CaseTag.EVEN_DIVIDES, CaseTag.EVEN_COPRIME):
+        G = G_even(p, m)
+        gp = _exact_div(G, p)
+        eta_m1 = legendre(-1, p)
+        if tag is CaseTag.EVEN_DIVIDES:
+            def case(z2, z1, s, e):
+                if z2 and z1:
+                    return (p - 1) ** 2 * G, pm2 + (p - 1) * gp
+                if z2 or z1:
+                    return -(p - 1) * G, pm2
+                # eta(-1) * G * Gbar^2 - (p-1) * G = G, as Gbar^2 = eta(-1) * p
+                return G, pm2 + gp
+            return case
+
+        def case(z2, z1, s, e):
+            if z2:
+                return (-(p - 1) * G, pm2 - gp) if z1 else (G, pm2)
+            # e = 0 is the disc case; at t1 = 0, e = eta(m*t2)
+            return e * eta_m1 * p * G + G, pm2 + e * eta_m1 * gp
+        return case
+    GG = GGbar_odd(p, m)
+    t = _exact_div(GG, p * p)
+    if tag is CaseTag.ODD_DIVIDES:
+        def case(z2, z1, s, e):
+            if z2:
+                return 0, pm2
+            return (s * (p - 1) * GG, pm2 + s * (p - 1) * t) if z1 else (-s * GG, pm2 - s * t)
+        return case
+    L = legendre(-m, p)
+    gg_p = _exact_div(GG, p)
+
+    def case(z2, z1, s, e):
+        if z2:
+            return (L * (p - 1) * GG, pm2 + L * gg_p) if z1 else (-L * GG, pm2)
+        if e == 0:  # disc; as p does not divide m, t1 != 0 here
+            return (s * (p - 1) - L) * GG, pm2 + L * (p - 1) * t
+        return -(s + L) * GG, pm2 - s * t
+    return case
+
+
+def class_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemma 9's B and the case's N_b lemma at every class, as p x p int64 arrays [t2, t1].
+
+    A cell's case is read off t2 = 0, t1 = 0, eta(-t2) and eta(m*t2 - t1^2),
+    with eta from one Legendre table of F_p; the 36 case values are Python
+    ints, placed by one index.  No field is built and no count is read.
+    """
+    case = _class_case(p, m)
+    eta = np.full(p, -1, dtype=np.int64)
+    eta[0] = 0
+    eta[np.arange(1, p) ** 2 % p] = 1
+    t2 = np.arange(p)[:, None]
+    t1 = np.arange(p)
+    eta_t2 = eta[-t2 % p]
+    eta_d = eta[(m % p * t2 - t1 * t1) % p]
+    idx = ((2 * (t2 == 0) + (t1 == 0)) * 3 + eta_t2 + 1) * 3 + eta_d + 1
+    values = [case(z2, z1, s, e) for z2 in (0, 1) for z1 in (0, 1)
+              for s in (-1, 0, 1) for e in (-1, 0, 1)]
+    b_vals, n_vals = (np.array(col, dtype=np.int64) for col in zip(*values))
+    return b_vals[idx], n_vals[idx]
+
+
 def lemma16_uc(p: int, m: int, c: int) -> int:
     """u_c = |{x : tr(x^2) = c}| for odd m, with eta(0) = 0."""
     if m % 2 == 0:
@@ -393,7 +470,7 @@ def _oracle_lemma12(ctx: FieldCtx) -> int:
 
 
 def _oracle_lemma16(ctx: FieldCtx, c: int) -> int:
-    return int(np.count_nonzero(ctx.trace_x2 == c % ctx.p))
+    return int(ctx.trace_x2_counts[c % ctx.p])
 
 
 # the enumeration oracle of each lemma kind, evaluated on a given FieldCtx

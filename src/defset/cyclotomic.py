@@ -132,7 +132,7 @@ def gauss_sum_exact(ctx: FieldCtx) -> CycInt:
     1 + eta(x) square roots, and sum over x of zeta_p^tr(x) = 0, so the two
     sums agree (Lidl & Niederreiter, Finite Fields, Thm 5.33).
     """
-    return CycInt(ctx.p, np.bincount(ctx.trace_x2, minlength=ctx.p))
+    return CycInt(ctx.p, ctx.trace_x2_counts)
 
 
 @dataclass(frozen=True)

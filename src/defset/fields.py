@@ -334,6 +334,11 @@ class FieldCtx:
         return self._grid_form(np.zeros(self.m, np.int64), self._trace_form).astype(self._dtype)
 
     @cached_property
+    def trace_x2_counts(self) -> np.ndarray:
+        """u[c] = |{x : tr(x^2) = c}| for every c in F_p."""
+        return np.bincount(self.trace_x2, minlength=self.p)
+
+    @cached_property
     def trace_x2_plus_x(self) -> np.ndarray:
         """tr(x^2 + x) for every index x (trace is additive)."""
         s = self.trace_x2.astype(np.int64) + self.trace_table

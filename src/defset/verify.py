@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from .codes import (LemmaCheck, VerifyReport, defining_set, distribution_from_Nb,
                     dual_distance_two, power_moment_check, secret_sharing_ratio, transform_Nc)
-from .closed_form import (ORACLES, CaseTag, THEOREM_NUMBER, classify, lemma8_value,
-                          lemma9_B, lemma9_from_counts, lemma10_N0a, lemma11_counts,
-                          lemma12_V, lemma16_uc, lemma17_vc, lemma_Nb_predicted,
-                          predicted_distribution, realized_b_classes)
+from .closed_form import (ORACLES, CaseTag, THEOREM_NUMBER, class_tables, classify,
+                          first_of_each_class, lemma8_value, lemma9_from_counts,
+                          lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
+                          predicted_distribution)
 from .cyclotomic import CycInt, embed_complex, gauss_closed, gauss_sum_exact
 from .fields import DEFAULT_MAX_Q, field
 
@@ -60,18 +62,23 @@ def run_lemma_suite(ctx, nc) -> list[LemmaCheck]:
 
     add("lemma8", {}, lemma8_value(p, m), ORACLES["lemma8"](ctx))
     nb_id = _NB_LEMMA_ID[classify(p, m)]
-    classes = realized_b_classes(ctx)
-    reps = list(classes.values())
-    nb = dict(zip(reps, nc[ctx.trace_dual(reps)].tolist()))
-    for cls in sorted(classes, key=lambda c: (c.t2, c.t1, c.disc)):
-        b = classes[cls]
-        params = {"t2": cls.t2, "t1": cls.t1, "disc": cls.disc, "b": b}
-        nb_b = nb[b]
-        # tr(b*x) = 0 on q/p elements for b != 0, so the lemma-9 and N_b
-        # checks of a class both compare the one count N_b
-        add("lemma9", params, lemma9_B(p, m, cls),
-            lemma9_from_counts(p, ctx.q, nb_b, n0, ctx.q // p))
-        add(nb_id, params, lemma_Nb_predicted(p, m, cls), nb_b)
+    b_table, nb_table = class_tables(p, m)
+    # every realized class (t2, t1) in ascending order, with its smallest b
+    first = first_of_each_class(ctx)
+    keys = np.flatnonzero(first < ctx.q)
+    reps = first[keys]
+    t2, t1 = np.divmod(keys, p)
+    nb = nc[ctx.trace_dual(reps)]
+    # tr(b*x) = 0 on q/p elements for b != 0, so the lemma-9 and N_b
+    # checks of a class both compare the one count N_b
+    columns = (t2, t1, (t1 * t1 - m * t2) % p == 0, reps,
+               b_table[t2, t1], lemma9_from_counts(p, ctx.q, nb, n0, ctx.q // p),
+               nb_table[t2, t1], nb)
+    for t2_c, t1_c, disc, b, b_closed, b_oracle, nb_closed, nb_b in zip(
+            *(col.tolist() for col in columns)):
+        params = {"t2": t2_c, "t1": t1_c, "disc": disc, "b": b}
+        add("lemma9", params, b_closed, b_oracle)
+        add(nb_id, params, nb_closed, nb_b)
     for a in range(p):
         add("lemma10", {"a": a}, lemma10_N0a(p, m, a), ORACLES["lemma10"](ctx, a=a))
     add("lemma11", {}, list(lemma11_counts(p, m)), list(ORACLES["lemma11"](ctx)))

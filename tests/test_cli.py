@@ -489,12 +489,12 @@ def test_verify_p139_m2_all_lemmas_match(capsys):
 
 
 def assert_only_trace_forms(ctx):
-    # no multiplicative table: every array on the field is a trace form, or the
-    # digit place values and companion-matrix powers that the forms are built from
+    # no multiplicative table: every array on the field is a trace form or a histogram
+    # of one, or the digit place values and companion-matrix powers the forms are built from
     arrays = {k for k, v in vars(ctx).items() if isinstance(v, np.ndarray)}
     assert {"trace_table", "trace_x2", "trace_x2_plus_x"} <= arrays
     assert arrays <= {"_pows", "_comp_pows", "_trace_form", "trace_table", "trace_x2",
-                      "trace_x2_plus_x", "trace_pair_counts"}
+                      "trace_x2_plus_x", "trace_x2_counts", "trace_pair_counts"}
 
 
 def test_gauss_and_dual_leave_log_tables_unbuilt():

@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from defset.closed_form import (ORACLES, BClass, CaseTag, G_even, GGbar_odd, classify,
-                                lemma8_value, lemma9_B, lemma10_N0a,
-                                lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
+from defset.closed_form import (ORACLES, BClass, CaseTag, G_even, GGbar_odd, class_tables,
+                                classify, lemma8_value, lemma9_B, lemma9_from_counts,
+                                lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
                                 lemma_Nb_predicted, oracle, predicted_distribution,
                                 predicted_length, realized_b_classes)
 from defset.codes import (brute_weight_distribution, count_Nb, defining_set, dft_prime,
-                          transform_weight_distribution)
+                          distribution_from_Nb, transform_Nc, transform_weight_distribution)
 from defset.cyclotomic import CycInt, gauss_sum_exact
 from defset.errors import CaseMismatch, FieldTooLarge, NonIntegralTableEntry
 from defset.fields import DEFAULT_MAX_Q, FieldCtx, field, is_prime
-from defset.verify import run_verification
+from defset.verify import run_lemma_suite, run_verification
 
 
 @pytest.mark.parametrize("p,m,tag", [
@@ -290,6 +290,20 @@ def test_lemma_Nb_oracle_all_classes(p, m):
         assert lemma_Nb_predicted(p, m, cls) == count_Nb(ctx, b), (cls, b)
 
 
+def test_class_tables_equal_the_scalar_forms_at_every_cell():
+    # every cell (t2, t1) of every odd p < 60 and 2 <= m <= 9, p | m in both parities
+    # among them; closed forms only, no field is built
+    pairs = [(p, m) for p in range(3, 60) if is_prime(p) for m in range(2, 10)]
+    assert {(3, 3), (3, 6), (3, 9), (5, 5), (7, 7)} <= {(p, m) for p, m in pairs if m % p == 0}
+    for p, m in pairs:
+        b_table, nb_table = (t.tolist() for t in class_tables(p, m))
+        for t2 in range(p):
+            for t1 in range(p):
+                cls = BClass(t2, t1, (t1 * t1 - m * t2) % p == 0)
+                assert b_table[t2][t1] == lemma9_B(p, m, cls), (p, m, cls)
+                assert nb_table[t2][t1] == lemma_Nb_predicted(p, m, cls), (p, m, cls)
+
+
 def test_lemma16_examples_and_oracle():
     assert lemma16_uc(3, 3, 0) == 9
     assert lemma16_uc(3, 3, 1) == 6
@@ -390,6 +404,87 @@ def test_theorems_hold_on_every_small_field(p, m):
     ds = defining_set(FieldCtx(p, m, max_q=p ** m))
     assert ds.n == pred.n
     assert transform_weight_distribution(ds) == pred.with_zero_word()
+
+
+def _inverse_mod_p(a, p):
+    """The inverse of the square integer matrix a mod p, by Gauss-Jordan elimination."""
+    n = len(a)
+    rows = [[int(v) % p for v in row] + [int(i == j) for j in range(n)]
+            for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        rows[col] = [v * inv % p for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[col])]
+    return np.array([row[n:] for row in rows], dtype=np.int64)
+
+
+def _class_of_c(ctx):
+    """(tr b^2, tr b) of b = Q^-1 c, as the key t2*p + t1, for every index c.
+
+    tr(b*x) = <c(b), x> with c(b) = Q b, so tr b = <c, e_0> is the lowest digit
+    of c, and tr b^2 = b^T Q b = c^T Q^-1 c, Q being symmetric; no q x m table
+    and no map from b to c is built.
+    """
+    p, m = ctx.p, ctx.m
+    # Q_ij = tr(alpha^i * alpha^j), and alpha^i has the index p^i
+    Q = [[ctx.trace(ctx.mul(p ** i, p ** j)) for j in range(m)] for i in range(m)]
+    t2 = ctx._grid_form(np.zeros(m, dtype=np.int64), _inverse_mod_p(Q, p)).astype(np.int64)
+    return t2 * p + np.arange(ctx.q) % p
+
+
+def _off_class(ctx, nc):
+    """The c != 0 where N_c or the lemma-9 value read from it is not the closed
+    value of the class of b = Q^-1 c."""
+    p, q = ctx.p, ctx.q
+    b_table, nb_table = class_tables(p, ctx.m)
+    key = _class_of_c(ctx)[1:]
+    nb = nc[1:]
+    b_oracle = lemma9_from_counts(p, q, nb, int(nc[0]), q // p)
+    bad = (nb != nb_table.ravel()[key]) | (b_oracle != b_table.ravel()[key])
+    return np.flatnonzero(bad) + 1
+
+
+@pytest.mark.parametrize("p,m", [(3, 5), (5, 3), (7, 4), (13, 2)])
+def test_class_of_c_reads_the_traces_of_b(p, m):
+    ctx = field(p, m)
+    b = np.arange(ctx.q)
+    c = ctx.trace_dual(b)
+    key = _class_of_c(ctx)[c]
+    assert (key % p == ctx.trace_table).all()
+    assert (key // p == ctx.trace_x2).all()
+
+
+@pytest.mark.parametrize("p,m", EXACT_SWEEP_FIELDS + SLOW_SWEEP_FIELDS)
+def test_nb_is_the_closed_value_of_the_class_at_every_b(p, m):
+    # the lemma suite reads N_b at one b per class; the claim is that N_b and B_b
+    # depend on b only through its class, checked here at every b != 0
+    ctx = FieldCtx(p, m, max_q=p ** m)
+    assert _off_class(ctx, transform_Nc(defining_set(ctx))).size == 0
+
+
+def test_every_b_check_sees_a_swap_the_distribution_and_the_suite_miss():
+    p, m = 7, 4
+    ctx = field(p, m)
+    ds = defining_set(ctx)
+    nc = transform_Nc(ds)
+    nb_table = class_tables(p, m)[1].ravel()
+    key = _class_of_c(ctx)
+    reps = set(ctx.trace_dual(list(realized_b_classes(ctx).values())).tolist())
+    others = [c for c in range(1, ctx.q) if c not in reps]
+    c1 = others[0]
+    c2 = next(c for c in others if nb_table[key[c]] != nb_table[key[c1]])
+    swapped = nc.copy()
+    swapped[[c1, c2]] = nc[[c2, c1]]
+    assert _off_class(ctx, nc).size == 0
+    assert _off_class(ctx, swapped).tolist() == sorted([c1, c2])
+    # a swap keeps the multiset of N_c and leaves every representative alone
+    assert distribution_from_Nb(ds, swapped) == predicted_distribution(p, m).with_zero_word()
+    assert all(c.match for c in run_lemma_suite(ctx, swapped))
 
 
 def test_exact_sweep_covers_every_field_up_to_its_bound():

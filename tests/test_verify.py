@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from defset import cli
+from defset import cli, closed_form, verify
 from defset.closed_form import ORACLES, THEOREM_NUMBER, classify, realized_b_classes
 from defset.codes import count_Nb, defining_set, transform_Nc
 from defset.fields import DEFAULT_MAX_Q, field
-from defset.verify import _NB_LEMMA_ID, CLAIMS, run_lemma_suite
+from defset.verify import _NB_LEMMA_ID, CLAIMS, run_lemma_suite, run_verification
 
 README_GRID = [(3, 3), (3, 4), (3, 5), (3, 6), (3, 8), (5, 3), (5, 4), (5, 5), (7, 3), (7, 4)]
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -84,3 +84,17 @@ def test_lemma_suite_reads_nb_of_each_class(p, m):
     for c in lemma9:
         assert c.oracle == ORACLES["lemma9"](ctx, c.params["b"]), c.params
     assert [c.oracle for c in checks if c.id == "lemma8"] == [ORACLES["lemma8"](ctx)]
+
+
+def test_verify_evaluates_no_scalar_closed_form_per_class(monkeypatch):
+    # the lemma-9 and N_b closed values come from class_tables; the scalar forms
+    # and BClass stay the reference for the tests and the replay
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar closed form was evaluated")
+
+    for name in ("lemma9_B", "lemma_Nb_predicted"):
+        monkeypatch.setattr(closed_form, name, refuse)
+        monkeypatch.setattr(verify, name, refuse, raising=False)
+    monkeypatch.setattr(closed_form.BClass, "from_element", classmethod(refuse))
+    rep = run_verification(17, 3)
+    assert rep.passed and any(c.id == "lemma9" for c in rep.lemma_checks)

@@ -9,95 +9,24 @@ primality test, or, for `predict`, the interpreter's limit on printing an intege
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
-import numpy as np
-
-from .codes import (VerifyReport, defining_set, distribution_csv, export_defining_set,
+from .codes import (defining_set, distribution_csv, export_defining_set,
                     transform_weight_distribution, weight_enumerator_string)
 from .closed_form import THEOREM_NUMBER, classify, predicted_distribution
 from .cyclotomic import gauss_closed
 from .errors import DefSetError, FieldTooLarge, NonIntegralTableEntry
 from .fields import DEFAULT_MAX_Q, field, require_odd_prime
-from .verify import CHECK_FAMILIES, CLAIMS, gauss_checks, run_verification
+# report_dict is also read as cli.report_dict, by perfbench/replay.py
+from .report import dumps_indent2, report_csv_row, report_dict, report_text, reports_json
+from .verify import CHECK_FAMILIES, gauss_checks, run_verification
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
-
-
-def report_dict(rep: VerifyReport, include_runtime: bool = False) -> dict:
-    """Schema-stable JSON object for one verification entry."""
-    dist = {
-        "predicted": [[w, a] for w, a in rep.distribution_predicted.items()],
-        "bruteforce": ([[w, a] for w, a in rep.distribution_bruteforce.items()]
-                       if rep.distribution_bruteforce else None),
-    }
-    ss = (None if rep.ss_ratio is None else
-          {"wmin": rep.ss_ratio[0], "wmax": rep.ss_ratio[1], "passes": rep.ss_ratio[2]})
-    out = {
-        "p": rep.p,
-        "m": rep.m,
-        "case": rep.case,
-        "theorem": rep.theorem,
-        "length": {"predicted": rep.n_predicted, "bruteforce": rep.n_bruteforce},
-        "distribution": dist,
-        "checks": {
-            "match": rep.match,
-            "moments": list(rep.moment_checks) if rep.moment_checks else None,
-            "dual_distance_two": rep.dual_distance_two,
-            "ss_ratio": ss,
-        },
-        "lemmas": [{"id": c.id, "params": c.params, "closed": c.closed,
-                    "oracle": c.oracle, "match": c.match} for c in rep.lemma_checks],
-    }
-    if rep.outside_theorem_hypothesis:
-        out["outside_theorem_hypothesis"] = True
-    if include_runtime:
-        out["runtime_ms"] = rep.runtime_ms
-    return out
-
-
-def _report_text(rep: VerifyReport, checks: tuple[str, ...]) -> str:
-    lines = [
-        f"p={rep.p} m={rep.m} case={rep.case} theorem={rep.theorem}",
-        f"  length: predicted={rep.n_predicted} bruteforce={rep.n_bruteforce}",
-    ]
-    if rep.distribution_bruteforce is not None:
-        lines.append(f"  enumerator: {weight_enumerator_string(rep.distribution_bruteforce)}")
-        lines.append(f"  match: {rep.match}  moments: {rep.moment_checks}")
-    if rep.dual_distance_two is not None:
-        lines.append(f"  dual distance two: {rep.dual_distance_two}")
-    if rep.ss_ratio is not None:
-        wmin, wmax, ok = rep.ss_ratio
-        lines.append(f"  ss ratio: wmin={wmin} wmax={wmax} exceeds (p-1)/p: {ok}")
-    if rep.lemma_checks:
-        n_bad = sum(1 for c in rep.lemma_checks if not c.match)
-        lines.append(f"  lemma checks: {len(rep.lemma_checks)} run, {n_bad} mismatched")
-        for c in rep.lemma_checks:
-            if not c.match:
-                lines.append(f"    MISMATCH {c.id} {c.params}: closed={c.closed} oracle={c.oracle}")
-    if rep.outside_theorem_hypothesis:
-        gating = [f for f in checks if CLAIMS[f](rep.p, rep.m)]
-        who = f"only {', '.join(gating)}" if gating else "none of the selected checks"
-        verb = "gate" if len(gating) > 1 else "gates"
-        lines.append("  note: m <= 2 is outside the theorem hypotheses; "
-                     f"{who} {verb} the exit code")
-    lines.append(f"  result: {'PASS' if rep.passed else 'FAIL'}")
-    return "\n".join(lines)
-
-
-def _report_csv_row(rep: VerifyReport) -> str:
-    mom = rep.moment_checks or (None, None)
-    ss = rep.ss_ratio or (None, None, None)
-    cells = [rep.p, rep.m, rep.case, rep.theorem, rep.n_predicted, rep.n_bruteforce,
-             rep.match, mom[0], mom[1], rep.dual_distance_two, ss[0], ss[1], ss[2],
-             rep.passed]
-    return ",".join("" if c is None else str(c) for c in cells)
 
 
 # --- option plumbing ----------------------------------------------------------
@@ -195,52 +124,6 @@ def _parse_grid(text: str) -> list[tuple[int, int]]:
     return entries
 
 
-# class of each byte of the one-line JSON text: 1 opens a container, -1 closes
-# one, 2 separates items, 3 delimits a string
-_BYTE_CLASS = np.zeros(256, np.int8)
-_BYTE_CLASS[list(b"{[")] = 1
-_BYTE_CLASS[list(b"}]")] = -1
-_BYTE_CLASS[ord(",")] = 2
-_BYTE_CLASS[ord('"')] = 3
-
-
-def dumps_indent2(obj) -> str:
-    """Exactly `json.dumps(obj, indent=2)`, indented from the C encoder's one-line text.
-
-    CPython encodes in pure Python whenever `indent` is set, which at large p
-    costs more than the verification it reports.  The C encoder writes the
-    same tokens on one line; this puts `"\\n" + "  " * depth` after every
-    non-empty open and every comma, and before every non-empty close.
-    """
-    flat = json.dumps(obj, separators=(",", ": ")).encode()  # ASCII: a byte per char
-    # a backslash always opens an escape, and the encoder never writes a NUL, so
-    # with \\ and then \" masked every '"' left delimits a string
-    masked = flat.replace(b"\\\\", b"\0\0").replace(b'\\"', b"\0\0")
-    cls = np.take(_BYTE_CLASS, np.frombuffer(masked, np.uint8))
-    pos = np.flatnonzero(cls != 0).astype(np.int32)
-    kind = cls[pos]
-    quote = kind == 3
-    keep = ~(np.bitwise_xor.accumulate(quote) | quote)  # outside strings
-    # an open right before a close is an empty container, written as is
-    empty = (kind[:-1] == 1) & (kind[1:] == -1) & (pos[1:] - pos[:-1] == 1)
-    keep[:-1] &= ~empty
-    keep[1:] &= ~empty
-    pos, kind = pos[keep], kind[keep]
-    if not pos.size:
-        return flat.decode()
-    pad = 2 * np.cumsum(np.where(kind == 2, 0, kind), dtype=np.int32) + 1
-    at = pos + (kind != -1)  # where each pad goes in the one-line text
-    shift = np.cumsum(pad, dtype=np.int32)
-    start = at + shift - pad  # and in the output
-    is_pad = np.zeros(len(flat) + int(shift[-1]), bool)
-    is_pad[start] = is_pad[start + pad] = True  # each pad flips in and back out
-    np.bitwise_xor.accumulate(is_pad, out=is_pad)
-    out = np.full(is_pad.size, ord(" "), np.uint8)
-    out[~is_pad] = np.frombuffer(flat, np.uint8)
-    out[start] = ord("\n")
-    return out.tobytes().decode("ascii")
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -336,16 +219,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                for p, m in st.entries]
 
     if st.fmt == "json":
-        objs = [report_dict(r, include_runtime=args.timestamps) for r in reports]
-        payload = objs[0] if st.single else objs
-        _emit(dumps_indent2(payload) + "\n", st.out)
+        _emit(reports_json(reports, st.single, args.timestamps) + "\n", st.out)
     elif st.fmt == "csv":
         header = ("p,m,case,theorem,n_predicted,n_bruteforce,match,"
                   "moment1,moment2,dual_distance_two,wmin,wmax,ss_passes,passed")
-        body = "\n".join(_report_csv_row(r) for r in reports)
+        body = "\n".join(report_csv_row(r) for r in reports)
         _emit(header + "\n" + body + "\n", st.out)
     else:
-        _emit("\n".join(_report_text(r, st.checks) for r in reports) + "\n", st.out)
+        _emit("\n".join(report_text(r, st.checks) for r in reports) + "\n", st.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH
 
 

@@ -7,7 +7,9 @@ b ranging over F_q.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
@@ -219,12 +221,105 @@ class LemmaCheck:
     match: bool
 
 
+@dataclass(frozen=True, eq=False)
+class ClassChecks(Sequence):
+    """The lemma-9 and N_b checks of every realized (tr b^2, tr b) class, as columns.
+
+    Class k is (t2[k], t1[k]) with smallest element b[k].  It has two rows, in
+    this order: "lemma9" compares b_closed[k] with b_oracle[k], and `nb_id`
+    compares nb_closed[k] with nb_oracle[k]; both have the params
+    {t2, t1, disc, b}.  A row is a LemmaCheck built when it is read.
+    """
+
+    nb_id: str
+    t2: np.ndarray
+    t1: np.ndarray
+    disc: np.ndarray
+    b: np.ndarray
+    b_closed: np.ndarray
+    b_oracle: np.ndarray
+    nb_closed: np.ndarray
+    nb_oracle: np.ndarray
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return (self.t2, self.t1, self.disc, self.b,
+                self.b_closed, self.b_oracle, self.nb_closed, self.nb_oracle)
+
+    def __len__(self) -> int:
+        return 2 * self.b.size
+
+    def __getitem__(self, i: int) -> LemmaCheck:
+        k, nb_row = divmod(range(len(self))[i], 2)
+        t2, t1, disc, b, b_closed, b_oracle, nb_closed, nb_oracle = (
+            col[k].item() for col in self.columns)
+        params = {"t2": t2, "t1": t1, "disc": disc, "b": b}
+        if nb_row:
+            return LemmaCheck(self.nb_id, params, nb_closed, nb_oracle, nb_closed == nb_oracle)
+        return LemmaCheck("lemma9", params, b_closed, b_oracle, b_closed == b_oracle)
+
+    def __iter__(self):
+        for t2, t1, disc, b, b_closed, b_oracle, nb_closed, nb_oracle in zip(
+                *(col.tolist() for col in self.columns)):
+            params = {"t2": t2, "t1": t1, "disc": disc, "b": b}
+            yield LemmaCheck("lemma9", params, b_closed, b_oracle, b_closed == b_oracle)
+            yield LemmaCheck(self.nb_id, params, nb_closed, nb_oracle, nb_closed == nb_oracle)
+
+    def all_match(self) -> bool:
+        return (np.array_equal(self.b_closed, self.b_oracle)
+                and np.array_equal(self.nb_closed, self.nb_oracle))
+
+    def mismatches(self) -> list[LemmaCheck]:
+        bad = np.column_stack([self.b_closed != self.b_oracle, self.nb_closed != self.nb_oracle])
+        return [self[i] for i in np.flatnonzero(bad).tolist()]
+
+
+class LemmaChecks(Sequence):
+    """A report's checks in order, from parts that are LemmaCheck lists or ClassChecks.
+
+    Read-only; it reads like the list of its rows and equals that list.
+    """
+
+    def __init__(self, parts=()):
+        self.parts = tuple(parts)
+        self._ends = list(itertools.accumulate(len(part) for part in self.parts))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i: int) -> LemmaCheck:
+        i = range(len(self))[i]
+        k = bisect.bisect_right(self._ends, i)
+        return self.parts[k][i - (self._ends[k - 1] if k else 0)]
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.parts)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (LemmaChecks, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def all_match(self) -> bool:
+        return all(part.all_match() if isinstance(part, ClassChecks) else
+                   all(c.match for c in part) for part in self.parts)
+
+    def mismatches(self) -> list[LemmaCheck]:
+        """The rows that do not match, in order; of a ClassChecks, only those are built."""
+        return [c for part in self.parts for c in
+                (part.mismatches() if isinstance(part, ClassChecks) else
+                 [c for c in part if not c.match])]
+
+
 @dataclass
 class VerifyReport:
     """Structured comparison of the enumerated code against the closed-form prediction.
 
     `n_bruteforce` and `distribution_bruteforce` hold the enumeration by `transform_Nc`;
     the names match the report's JSON and CSV keys, which stay for byte stability.
+    A list of LemmaCheck given as `lemma_checks` becomes a one-part LemmaChecks.
     """
 
     p: int
@@ -239,7 +334,11 @@ class VerifyReport:
     moment_checks: tuple[bool, bool] | None
     dual_distance_two: bool | None
     ss_ratio: tuple[int, int, bool] | None
-    lemma_checks: list[LemmaCheck] = dataclass_field(default_factory=list)
+    lemma_checks: LemmaChecks = dataclass_field(default_factory=LemmaChecks)
     runtime_ms: int = 0
     outside_theorem_hypothesis: bool = False
     passed: bool = True
+
+    def __post_init__(self):
+        if not isinstance(self.lemma_checks, LemmaChecks):
+            self.lemma_checks = LemmaChecks([list(self.lemma_checks)])

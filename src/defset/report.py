@@ -1,0 +1,189 @@
+"""The verify report as JSON, text and CSV, and the JSON writer of every subcommand."""
+
+from __future__ import annotations
+
+import itertools
+import json
+
+import numpy as np
+
+from .codes import ClassChecks, LemmaCheck, VerifyReport, weight_enumerator_string
+from .verify import CLAIMS
+
+
+def _lemma_row(c: LemmaCheck) -> dict:
+    return {"id": c.id, "params": c.params, "closed": c.closed, "oracle": c.oracle,
+            "match": c.match}
+
+
+def report_dict(rep: VerifyReport, include_runtime: bool = False,
+                lemmas: list | None = None) -> dict:
+    """Schema-stable JSON object for one verification entry.
+
+    `lemmas`, if given, stands in the place of the rows of `rep.lemma_checks`.
+    """
+    dist = {
+        "predicted": [[w, a] for w, a in rep.distribution_predicted.items()],
+        "bruteforce": ([[w, a] for w, a in rep.distribution_bruteforce.items()]
+                       if rep.distribution_bruteforce else None),
+    }
+    ss = (None if rep.ss_ratio is None else
+          {"wmin": rep.ss_ratio[0], "wmax": rep.ss_ratio[1], "passes": rep.ss_ratio[2]})
+    out = {
+        "p": rep.p,
+        "m": rep.m,
+        "case": rep.case,
+        "theorem": rep.theorem,
+        "length": {"predicted": rep.n_predicted, "bruteforce": rep.n_bruteforce},
+        "distribution": dist,
+        "checks": {
+            "match": rep.match,
+            "moments": list(rep.moment_checks) if rep.moment_checks else None,
+            "dual_distance_two": rep.dual_distance_two,
+            "ss_ratio": ss,
+        },
+        "lemmas": [_lemma_row(c) for c in rep.lemma_checks] if lemmas is None else lemmas,
+    }
+    if rep.outside_theorem_hypothesis:
+        out["outside_theorem_hypothesis"] = True
+    if include_runtime:
+        out["runtime_ms"] = rep.runtime_ms
+    return out
+
+
+def report_text(rep: VerifyReport, checks: tuple[str, ...]) -> str:
+    lines = [
+        f"p={rep.p} m={rep.m} case={rep.case} theorem={rep.theorem}",
+        f"  length: predicted={rep.n_predicted} bruteforce={rep.n_bruteforce}",
+    ]
+    if rep.distribution_bruteforce is not None:
+        lines.append(f"  enumerator: {weight_enumerator_string(rep.distribution_bruteforce)}")
+        lines.append(f"  match: {rep.match}  moments: {rep.moment_checks}")
+    if rep.dual_distance_two is not None:
+        lines.append(f"  dual distance two: {rep.dual_distance_two}")
+    if rep.ss_ratio is not None:
+        wmin, wmax, ok = rep.ss_ratio
+        lines.append(f"  ss ratio: wmin={wmin} wmax={wmax} exceeds (p-1)/p: {ok}")
+    if rep.lemma_checks:
+        bad = rep.lemma_checks.mismatches()
+        lines.append(f"  lemma checks: {len(rep.lemma_checks)} run, {len(bad)} mismatched")
+        lines += [f"    MISMATCH {c.id} {c.params}: closed={c.closed} oracle={c.oracle}"
+                  for c in bad]
+    if rep.outside_theorem_hypothesis:
+        gating = [f for f in checks if CLAIMS[f](rep.p, rep.m)]
+        who = f"only {', '.join(gating)}" if gating else "none of the selected checks"
+        verb = "gate" if len(gating) > 1 else "gates"
+        lines.append("  note: m <= 2 is outside the theorem hypotheses; "
+                     f"{who} {verb} the exit code")
+    lines.append(f"  result: {'PASS' if rep.passed else 'FAIL'}")
+    return "\n".join(lines)
+
+
+def report_csv_row(rep: VerifyReport) -> str:
+    mom = rep.moment_checks or (None, None)
+    ss = rep.ss_ratio or (None, None, None)
+    cells = [rep.p, rep.m, rep.case, rep.theorem, rep.n_predicted, rep.n_bruteforce,
+             rep.match, mom[0], mom[1], rep.dual_distance_two, ss[0], ss[1], ss[2],
+             rep.passed]
+    return ",".join("" if c is None else str(c) for c in cells)
+
+
+# class of each byte of the one-line JSON text: 1 opens a container, -1 closes
+# one, 2 separates items, 3 delimits a string
+_BYTE_CLASS = np.zeros(256, np.int8)
+_BYTE_CLASS[list(b"{[")] = 1
+_BYTE_CLASS[list(b"}]")] = -1
+_BYTE_CLASS[ord(",")] = 2
+_BYTE_CLASS[ord('"')] = 3
+
+
+def dumps_indent2(obj) -> str:
+    """Exactly `json.dumps(obj, indent=2)`, indented from the C encoder's one-line text.
+
+    CPython encodes in pure Python whenever `indent` is set, which at large p
+    costs more than the verification it reports.  The C encoder writes the
+    same tokens on one line; this puts `"\\n" + "  " * depth` after every
+    non-empty open and every comma, and before every non-empty close.
+    """
+    flat = json.dumps(obj, separators=(",", ": ")).encode()  # ASCII: a byte per char
+    # a backslash always opens an escape, and the encoder never writes a NUL, so
+    # with \\ and then \" masked every '"' left delimits a string
+    masked = flat.replace(b"\\\\", b"\0\0").replace(b'\\"', b"\0\0")
+    cls = np.take(_BYTE_CLASS, np.frombuffer(masked, np.uint8))
+    pos = np.flatnonzero(cls != 0).astype(np.int32)
+    kind = cls[pos]
+    quote = kind == 3
+    keep = ~(np.bitwise_xor.accumulate(quote) | quote)  # outside strings
+    # an open right before a close is an empty container, written as is
+    empty = (kind[:-1] == 1) & (kind[1:] == -1) & (pos[1:] - pos[:-1] == 1)
+    keep[:-1] &= ~empty
+    keep[1:] &= ~empty
+    pos, kind = pos[keep], kind[keep]
+    if not pos.size:
+        return flat.decode()
+    pad = 2 * np.cumsum(np.where(kind == 2, 0, kind), dtype=np.int32) + 1
+    at = pos + (kind != -1)  # where each pad goes in the one-line text
+    shift = np.cumsum(pad, dtype=np.int32)
+    start = at + shift - pad  # and in the output
+    is_pad = np.zeros(len(flat) + int(shift[-1]), bool)
+    is_pad[start] = is_pad[start + pad] = True  # each pad flips in and back out
+    np.bitwise_xor.accumulate(is_pad, out=is_pad)
+    out = np.full(is_pad.size, ord(" "), np.uint8)
+    out[~is_pad] = np.frombuffer(flat, np.uint8)
+    out[start] = ord("\n")
+    return out.tobytes().decode("ascii")
+
+
+# stands for a ClassChecks in the objects given to dumps_indent2, which
+# writes it as _CLASS_TOKEN where the class rows go
+_CLASS_BLOCK = "\0class checks"
+_CLASS_TOKEN = json.dumps(_CLASS_BLOCK)
+# a class row as dumps_indent2 writes a LemmaCheck with four params at depth 0
+_CLASS_ROW = """{
+  "id": "<id>",
+  "params": {
+    "t2": %d,
+    "t1": %d,
+    "disc": %s,
+    "b": %d
+  },
+  "closed": %d,
+  "oracle": %d,
+  "match": %s
+}"""
+
+
+def _class_block(cc: ClassChecks, indent: str) -> str:
+    """The rows of cc as dumps_indent2 writes them in a list at this indent,
+    with the first line not indented: one %-format of a two-row template."""
+    pair = ",\n".join(_CLASS_ROW.replace("<id>", row_id) for row_id in ("lemma9", cc.nb_id))
+    pair = pair.replace("\n", "\n" + indent)
+    t2, t1, b, b_closed, b_oracle, nb_closed, nb_oracle = (
+        col.tolist() for col in (cc.t2, cc.t1, cc.b, cc.b_closed, cc.b_oracle,
+                                 cc.nb_closed, cc.nb_oracle))
+    disc, b_match, nb_match = (np.where(col, "true", "false").tolist() for col in (
+        cc.disc, cc.b_closed == cc.b_oracle, cc.nb_closed == cc.nb_oracle))
+    values = itertools.chain.from_iterable(zip(
+        t2, t1, disc, b, b_closed, b_oracle, b_match,
+        t2, t1, disc, b, nb_closed, nb_oracle, nb_match))
+    return ((pair + ",\n" + indent) * (len(b) - 1) + pair) % tuple(values)
+
+
+def reports_json(reports: list[VerifyReport], single: bool, include_runtime: bool) -> str:
+    """dumps_indent2 of the report_dict objects, each ClassChecks written by _class_block."""
+    objs, blocks = [], []
+    for rep in reports:
+        lemmas = []
+        for part in rep.lemma_checks.parts:
+            if not isinstance(part, ClassChecks):
+                lemmas += map(_lemma_row, part)
+            elif part:
+                lemmas.append(_CLASS_BLOCK)
+                blocks.append(part)
+        objs.append(report_dict(rep, include_runtime, lemmas))
+    pieces = dumps_indent2(objs[0] if single else objs).split(_CLASS_TOKEN)
+    out = pieces[:1]
+    for block, piece in zip(blocks, pieces[1:]):
+        indent = " " * (len(out[-1]) - 1 - out[-1].rfind("\n"))
+        out += [_class_block(block, indent), piece]
+    return "".join(out)

@@ -9,8 +9,9 @@ import time
 
 import numpy as np
 
-from .codes import (LemmaCheck, VerifyReport, defining_set, distribution_from_Nb,
-                    dual_distance_two, power_moment_check, secret_sharing_ratio, transform_Nc)
+from .codes import (ClassChecks, LemmaCheck, LemmaChecks, VerifyReport, defining_set,
+                    distribution_from_Nb, dual_distance_two, power_moment_check,
+                    secret_sharing_ratio, transform_Nc)
 from .closed_form import (ORACLES, CaseTag, THEOREM_NUMBER, class_tables, classify,
                           first_of_each_class, lemma8_value, lemma9_from_counts,
                           lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
@@ -47,21 +48,20 @@ CLAIMS = {
 CHECK_FAMILIES = tuple(CLAIMS)
 
 
-def run_lemma_suite(ctx, nc) -> list[LemmaCheck]:
+def run_lemma_suite(ctx, nc) -> LemmaChecks:
     """Compare every applicable closed form against its enumeration oracle on ctx.
 
     nc[c] = |{x : tr(x^2 + x) = 0 and <c, x> = 0}| for every digit vector c, as
-    `transform_Nc` counts them, so N_b = nc[c(b)] and nc[0] = n0.
+    `transform_Nc` counts them, so N_b = nc[c(b)] and nc[0] = n0.  The lemma-9
+    and N_b checks of the classes stay columns, between lemma 8 and lemma 10.
     """
     p, m = ctx.p, ctx.m
     n0 = int(nc[0])
-    out: list[LemmaCheck] = []
 
-    def add(check_id, params, closed, brute):
-        out.append(LemmaCheck(check_id, params, closed, brute, closed == brute))
+    def check(check_id, params, closed, brute):
+        return LemmaCheck(check_id, params, closed, brute, closed == brute)
 
-    add("lemma8", {}, lemma8_value(p, m), ORACLES["lemma8"](ctx))
-    nb_id = _NB_LEMMA_ID[classify(p, m)]
+    lemma8 = [check("lemma8", {}, lemma8_value(p, m), ORACLES["lemma8"](ctx))]
     b_table, nb_table = class_tables(p, m)
     # every realized class (t2, t1) in ascending order, with its smallest b
     first = first_of_each_class(ctx)
@@ -71,26 +71,21 @@ def run_lemma_suite(ctx, nc) -> list[LemmaCheck]:
     nb = nc[ctx.trace_dual(reps)]
     # tr(b*x) = 0 on q/p elements for b != 0, so the lemma-9 and N_b
     # checks of a class both compare the one count N_b
-    columns = (t2, t1, (t1 * t1 - m * t2) % p == 0, reps,
-               b_table[t2, t1], lemma9_from_counts(p, ctx.q, nb, n0, ctx.q // p),
-               nb_table[t2, t1], nb)
-    for t2_c, t1_c, disc, b, b_closed, b_oracle, nb_closed, nb_b in zip(
-            *(col.tolist() for col in columns)):
-        params = {"t2": t2_c, "t1": t1_c, "disc": disc, "b": b}
-        add("lemma9", params, b_closed, b_oracle)
-        add(nb_id, params, nb_closed, nb_b)
-    for a in range(p):
-        add("lemma10", {"a": a}, lemma10_N0a(p, m, a), ORACLES["lemma10"](ctx, a=a))
-    add("lemma11", {}, list(lemma11_counts(p, m)), list(ORACLES["lemma11"](ctx)))
+    classes = ClassChecks(_NB_LEMMA_ID[classify(p, m)], t2, t1, (t1 * t1 - m * t2) % p == 0,
+                          reps, b_table[t2, t1], lemma9_from_counts(p, ctx.q, nb, n0, ctx.q // p),
+                          nb_table[t2, t1], nb)
+    rest = [check("lemma10", {"a": a}, lemma10_N0a(p, m, a), ORACLES["lemma10"](ctx, a=a))
+            for a in range(p)]
+    rest.append(check("lemma11", {}, list(lemma11_counts(p, m)), list(ORACLES["lemma11"](ctx))))
     if m % p != 0:
-        add("lemma12", {}, lemma12_V(p, m), ORACLES["lemma12"](ctx))
+        rest.append(check("lemma12", {}, lemma12_V(p, m), ORACLES["lemma12"](ctx)))
     if m % 2 == 1:
-        for c in range(p):
-            add("lemma16", {"c": c}, lemma16_uc(p, m, c), ORACLES["lemma16"](ctx, c=c))
+        rest += [check("lemma16", {"c": c}, lemma16_uc(p, m, c), ORACLES["lemma16"](ctx, c=c))
+                 for c in range(p)]
         if m % p == 0:
-            for c in range(1, p):
-                add("lemma17", {"c": c}, lemma17_vc(p, m, c), ORACLES["lemma17"](ctx, c=c))
-    return out
+            rest += [check("lemma17", {"c": c}, lemma17_vc(p, m, c),
+                           ORACLES["lemma17"](ctx, c=c)) for c in range(1, p)]
+    return LemmaChecks([lemma8, classes, rest])
 
 
 def gauss_checks(ctx) -> tuple[CycInt, complex, list[LemmaCheck]]:
@@ -132,12 +127,12 @@ def run_verification(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q,
     moments = power_moment_check(dist, p, m, ds.n) if dist else None
     dual = dual_distance_two(ds) if "dual" in checks else None
     ss = secret_sharing_ratio(dist, p) if dist else None
-    lemmas = run_lemma_suite(ctx, nc) if "lemmas" in checks else []
+    lemmas = run_lemma_suite(ctx, nc) if "lemmas" in checks else LemmaChecks()
     gauss = gauss_checks(ctx)[2] if "gauss" in checks else []
 
     holds = {
         "distribution": match,
-        "lemmas": all(c.match for c in lemmas),
+        "lemmas": lemmas.all_match(),
         "gauss": all(c.match for c in gauss),
         "moments": moments and all(moments),
         "dual": dual,
@@ -149,7 +144,7 @@ def run_verification(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q,
         distribution_bruteforce=dist,
         distribution_predicted=pred.with_zero_word(),
         match=match, moment_checks=moments, dual_distance_two=dual, ss_ratio=ss,
-        lemma_checks=lemmas + gauss,
+        lemma_checks=LemmaChecks([*lemmas.parts, gauss]),
         runtime_ms=int((time.perf_counter() - t0) * 1000),
         outside_theorem_hypothesis=m <= 2,
         passed=all(holds[f] for f in checks if CLAIMS[f](p, m)),

@@ -9,8 +9,9 @@ import pytest
 
 from defset import cli, cyclotomic, fields, verify
 from defset.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from defset.closed_form import PredictedDistribution, predicted_distribution
-from defset.codes import defining_set, dual_distance_two
+from defset.closed_form import (PredictedDistribution, classify, first_of_each_class,
+                                predicted_distribution)
+from defset.codes import LemmaCheck, defining_set, dual_distance_two
 from defset.fields import FieldCtx, field
 from defset.verify import gauss_checks, run_verification
 
@@ -484,8 +485,136 @@ def test_verify_p139_m2_all_lemmas_match(capsys):
     obj = json.loads(out)
     assert obj["lemmas"] and all(c["match"] is True for c in obj["lemmas"])
     assert obj["checks"]["match"] is True
-    # the largest report under the default cap (3.9 MB) is the stdlib's bytes
+    # the largest report under the default cap (3.9 MB) is the stdlib's bytes, and
+    # the bytes are pinned: a wrong value written consistently round-trips as well
     assert out == json.dumps(obj, indent=2) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3e5c4a153a2314423ea16bd44900ea1c10f44fe8d2bb394df7ae130434fcd70f")
+
+
+def record_reports(monkeypatch) -> list:
+    """Keep every report that `verify` computes."""
+    reports, real = [], cli.run_verification
+    monkeypatch.setattr(cli, "run_verification",
+                        lambda *args, **kwargs: reports.append(real(*args, **kwargs))
+                        or reports[-1])
+    return reports
+
+
+def swap_at_a_representative(monkeypatch):
+    """Swap N_c at the representative of the last class with a nonzero c of another
+    N_c: the distribution keeps its multiset, and that class's rows mismatch."""
+    real = verify.transform_Nc
+
+    def swapped(ds):
+        nc = real(ds)
+        first = first_of_each_class(ds.ctx)
+        c1 = int(ds.ctx.trace_dual(first[first < ds.ctx.q][-1:])[0])
+        c2 = int(np.flatnonzero(nc[1:] != nc[c1])[0]) + 1
+        nc[[c1, c2]] = nc[[c2, c1]]
+        return nc
+
+    monkeypatch.setattr(verify, "transform_Nc", swapped)
+
+
+def off_by_one_nb_table(monkeypatch):
+    """Make every closed N_b one too many: each N_b row fails, and no lemma-9 row."""
+    real = verify.class_tables
+
+    def corrupted(p, m):
+        b_table, nb_table = real(p, m)
+        return b_table, nb_table + 1
+
+    monkeypatch.setattr(verify, "class_tables", corrupted)
+
+
+def assert_verify_json_is_report_dict(capsys, monkeypatch, *argv):
+    """`verify --format json` is json.dumps of report_dict of the reports it computed."""
+    reports = record_reports(monkeypatch)
+    code, out, err = run(capsys, "verify", *argv, "--format", "json")
+    objs = [cli.report_dict(r, include_runtime="--timestamps" in argv) for r in reports]
+    assert out == json.dumps(objs if "--grid" in argv else objs[0], indent=2) + "\n", argv
+    assert code == (EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH), err
+    return code, objs
+
+
+README_GRID = "3,3;3,4;3,5;3,6;3,8;5,3;5,4;5,5;7,3;7,4"
+
+
+def test_verify_json_writes_the_class_columns_as_report_dict(capsys, monkeypatch):
+    # the class rows are %-formatted from columns; report_dict materializes them
+    assert assert_verify_json_is_report_dict(capsys, monkeypatch,
+                                             "--grid", README_GRID)[0] == EXIT_OK
+    for entry in README_GRID.split(";"):
+        p, m = entry.split(",")
+        assert_verify_json_is_report_dict(capsys, monkeypatch, "--p", p, "--m", m)
+    for argv in (["--grid", "3,4;5,3", "--timestamps"],
+                 ["--p", "7", "--m", "4", "--timestamps"],
+                 ["--grid", "3,4;7,3", "--checks", "distribution,moments,dual,gauss"],
+                 ["--p", "5", "--m", "5", "--checks", "lemmas"],
+                 ["--grid", "3,2;13,2;5,3", "--checks", "lemmas"],
+                 # the lemma-9 values at (191,2) are large and negative
+                 ["--p", "191", "--m", "2", "--max-q", "40000"]):
+        assert assert_verify_json_is_report_dict(capsys, monkeypatch, *argv)[0] == EXIT_OK
+    # verify refuses m = 1 before any report is written
+    assert run(capsys, "verify", "--p", "7", "--m", "1", "--format", "json")[:2] == (
+        EXIT_USAGE, "")
+
+
+@pytest.mark.parametrize("force", [swap_at_a_representative, off_by_one_nb_table])
+def test_verify_json_writes_mismatched_class_rows_as_report_dict(capsys, monkeypatch, force):
+    force(monkeypatch)
+    for argv in (["--p", "7", "--m", "4"], ["--grid", "3,4;13,2;5,3"]):
+        code, objs = assert_verify_json_is_report_dict(capsys, monkeypatch, *argv)
+        assert code == EXIT_MISMATCH
+        for obj in objs if isinstance(objs, list) else [objs]:
+            bad = [row["id"] for row in obj["lemmas"] if row["match"] is False]
+            assert bad and (bad[0] == "lemma9") == (force is swap_at_a_representative)
+            assert obj["checks"]["match"] is True
+
+
+def count_lemma_checks(monkeypatch) -> list:
+    """Record the id of every LemmaCheck built."""
+    made, real = [], LemmaCheck.__init__
+
+    def init(self, *args, **kwargs):
+        made.append(args[0])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(LemmaCheck, "__init__", init)
+    return made
+
+
+def test_verify_builds_no_class_row_it_does_not_print(capsys, monkeypatch):
+    # about 2p^2 class rows at (71,2); json and csv build only the O(p) scalar rows
+    made = count_lemma_checks(monkeypatch)
+    for fmt in ("json", "csv"):
+        made.clear()
+        code, out, _ = run(capsys, "verify", "--p", "71", "--m", "2", "--format", fmt)
+        assert code == EXIT_OK and out
+        assert 0 < len(made) < 3 * 71, fmt
+        assert "lemma9" not in made
+
+
+@pytest.mark.parametrize("force", [swap_at_a_representative, off_by_one_nb_table])
+def test_verify_text_builds_only_the_mismatched_class_rows(capsys, monkeypatch, force):
+    # text lists exactly the mismatched rows, and builds no other class row
+    nb_id = verify._NB_LEMMA_ID[classify(71, 2)]
+    made = count_lemma_checks(monkeypatch)
+    force(monkeypatch)
+    reports = record_reports(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--p", "71", "--m", "2", "--format", "text")
+    n_class_rows = made.count("lemma9") + made.count(nb_id)
+    rows = list(reports[0].lemma_checks)
+    bad = [c for c in rows if not c.match]
+    assert code == EXIT_MISMATCH and n_class_rows == len(bad)
+    if force is swap_at_a_representative:
+        assert [c.id for c in bad] == ["lemma9", nb_id] * (len(bad) // 2) and bad
+    else:
+        assert [c.id for c in bad] == [c.id for c in rows if c.id == nb_id]
+    assert f"  lemma checks: {len(rows)} run, {len(bad)} mismatched\n" in out
+    assert [line for line in out.splitlines() if "MISMATCH" in line] == [
+        f"    MISMATCH {c.id} {c.params}: closed={c.closed} oracle={c.oracle}" for c in bad]
 
 
 def assert_only_trace_forms(ctx):

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -98,3 +99,28 @@ def test_verify_evaluates_no_scalar_closed_form_per_class(monkeypatch):
     monkeypatch.setattr(closed_form.BClass, "from_element", classmethod(refuse))
     rep = run_verification(17, 3)
     assert rep.passed and any(c.id == "lemma9" for c in rep.lemma_checks)
+
+
+def test_lemma_checks_read_like_the_list_of_their_rows():
+    # the class checks are columns; their rows are built when read, and the
+    # sequence equals the list of them from either side
+    rep = run_verification(7, 3)
+    checks = rep.lemma_checks
+    rows = list(checks)
+    assert checks == rows and rows == checks and not checks != rows
+    assert len(checks) == len(rows) == 2 * len(realized_b_classes(field(7, 3))) + 19
+    assert [c.id for c in rows[:3]] == ["lemma8", "lemma9", _NB_LEMMA_ID[classify(7, 3)]]
+    assert rows[-1].id == "lemma5_embedding"
+    assert all(checks[i] == rows[i] for i in range(-len(rows), len(rows)))
+    with pytest.raises(IndexError):
+        checks[len(rows)]
+    # a row that differs anywhere makes the two unequal, both ways
+    for i in (0, 2, len(rows) - 1):
+        changed = list(rows)
+        changed[i] = replace(rows[i], oracle=-1, match=False)
+        assert checks != changed and changed != checks
+    assert checks != rows[:-1] and checks != rows + rows[:1]
+    # a selection without lemmas or gauss has no rows
+    empty = run_verification(7, 3, checks=("distribution",)).lemma_checks
+    assert not empty and len(empty) == 0 and empty == [] and [] == empty
+    assert list(empty) == [] and empty.all_match() and empty.mismatches() == []

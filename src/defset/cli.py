@@ -31,6 +31,14 @@ EXIT_CAP = 3
 
 # --- option plumbing ----------------------------------------------------------
 
+def _cap(text: str) -> int:
+    """The value of --max-q, CAP or max_q: a cap below 1 admits no field, so it is malformed."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"the cap on q must be at least 1, got {value}")
+    return value
+
+
 def _load_config(path: str) -> dict[str, str]:
     cfg = {}
     with open(path, encoding="utf-8") as fh:
@@ -78,7 +86,7 @@ class _Settings:
             action = flags[dest]
             try:
                 value = (action.type or str)(raw)
-            except ValueError:
+            except (ValueError, argparse.ArgumentTypeError):
                 raise DefSetError(f"bad value {raw!r} for {source}") from None
             if action.choices is not None and value not in action.choices:
                 raise DefSetError(f"bad value {raw!r} for {source} "
@@ -271,7 +279,7 @@ def _subcommand(sub, name: str, func, help: str, grid: bool = False, max_q: bool
         sp.add_argument("--grid", type=str, default=None,
                         help="batch of entries as 'p,m;p,m;...'")
     if max_q:
-        sp.add_argument("--max-q", dest="max_q", type=int, default=None,
+        sp.add_argument("--max-q", dest="max_q", type=_cap, default=None,
                         help=f"cap on q = p^m, which bounds the size of the field tables and "
                         f"of the weight transform (default {DEFAULT_MAX_Q}; env CAP)")
     sp.add_argument("--format", choices=formats, default=None)

@@ -80,8 +80,7 @@ def first_of_each_class(ctx: FieldCtx) -> np.ndarray:
     if there is none; for m >= 2, where the p^2 cells are at most q."""
     p, q = ctx.p, ctx.q
     first = np.full(p * p, q, dtype=np.int64)
-    np.minimum.at(first, ctx.trace_x2[1:].astype(np.int64) * p + ctx.trace_table[1:],
-                  np.arange(1, q))
+    np.minimum.at(first, ctx.trace_pair_key[1:], np.arange(1, q))
     return first
 
 

@@ -174,11 +174,24 @@ def _mod(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
+def _int_type(bound: int) -> np.dtype:
+    """The narrowest of int16, int32 and int64 that holds every integer in [0, bound]."""
+    return np.dtype(next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max))
+
+
+def _form_bound(p: int, m: int) -> int:
+    """The largest value of sum_i lin_i x_i + sum_ij quad_ij x_i x_j over digits
+    x_i in [0, p), with every coefficient in [0, p): all of them p - 1, at x = (p-1, ..., p-1)."""
+    return m * (p - 1) ** 2 + m * m * (p - 1) ** 3
+
+
 def _check_size(p: int, m: int, max_q: int) -> int:
     """q = p^m, after checking that m >= 1, p is an odd prime and q <= max_q.
 
     A p above max_q is over the cap whatever its primality, so it is refused
-    without a primality test, and p^m is never built past max_q.
+    without a primality test, and p^m is never built past max_q.  A field whose
+    trace forms can sum past int64 on the digit grid (m = 1 and p above about
+    2^21) is refused too.
     """
     if m < 1:
         raise DegreeTooSmall(f"extension degree m={m} must be >= 1")
@@ -189,6 +202,8 @@ def _check_size(p: int, m: int, max_q: int) -> int:
         q *= p
         if q > max_q:
             raise FieldTooLarge(f"p^m = {p}^{m} exceeds the cap {max_q}")
+    if _form_bound(p, m) > np.iinfo(np.int64).max:
+        raise FieldTooLarge(f"p^m = {p}^{m}: its trace forms sum past int64 on the digit grid")
     return q
 
 
@@ -200,7 +215,10 @@ class FieldCtx:
     companion matrix, tr(x) = sum x_i t_i, tr(x^2) is the quadratic form with
     Q_ij = t_(i+j), and tr(b*x) is bilinear in the digits of b and x.  Every
     per-element table is one such form, built on the (p,)^m digit grid one
-    digit at a time (`_grid_form`), so no q x m table of digits exists.  x*y
+    digit at a time (`_grid_form`), so no q x m table of digits exists.  The
+    grid sums each form unreduced, in the narrowest of int16, int32 and int64
+    that holds its largest value m(p-1)^2 + m^2(p-1)^3, and reduces it mod p
+    once, into a table of the narrowest of those types that holds p - 1.  x*y
     has the digits sum_i x_i C^i digits(y), C the companion matrix (Lidl &
     Niederreiter, Finite Fields, ch. 2), so no multiplicative table is built.
     """
@@ -220,8 +238,9 @@ class FieldCtx:
                 raise ValueError(f"modulus must be monic irreducible of degree {m} over F_{p}")
         self.modulus: tuple[int, ...] = tuple(modulus)
 
-        # stored tables hold values in [0, p): int16 unless p - 1 needs more
-        self._dtype = np.promote_types(np.int16, np.min_scalar_type(1 - p))
+        # stored tables hold values in [0, p); the grid sums them unreduced
+        self._dtype = _int_type(p - 1)
+        self._work = _int_type(_form_bound(p, m))
         self._pows = p ** np.arange(m, dtype=np.int64)
 
         # multiplication by alpha on coefficient vectors, and its powers C^k, k < 2m-1
@@ -234,7 +253,7 @@ class FieldCtx:
         t = np.array([np.trace(c) % p for c in comp_pows], dtype=np.int64)
         self._trace_form = t[np.add.outer(np.arange(m), np.arange(m))]
 
-        self.trace_table = self._grid_form(t[:m]).astype(self._dtype)
+        self.trace_table = self._grid_form(t[:m])
         assert self.trace_table[0] == 0
         assert self.trace_table[1] == m % p
 
@@ -246,27 +265,25 @@ class FieldCtx:
         quad is symmetric with entries in [0, p).  Step k extends the form from
         digits 0..k-1 to digits 0..k, with digit k on the new leading axis, so
         the flat array stays in index order; cross[j - k] carries
-        sum_(i<k) 2 quad_ij x_i for each later digit j.  The work is about
-        q*p/(p-1) elements per form.
+        sum_(i<k) 2 quad_ij x_i for each later digit j.  Nothing is reduced
+        until the end: every partial sum is at most `_form_bound(p, m)`, so the
+        sums run in the narrowest type that holds it, and one reduction mod p
+        gives the table.
         """
-        p, m = self.p, self.m
-        # the largest intermediate, (p-1)^2 + 2(p-1) = p^2 - 1, fits int32 while p < 46341
-        work = np.int32 if p < 46341 else np.int64
+        p, m, work = self.p, self.m, self._work
         v = np.arange(p, dtype=np.int64)
+        vw = v.astype(work)
         lin = np.asarray(lin, dtype=np.int64) % p
         vals = np.zeros(1, dtype=work)
         cross = np.zeros((m, 1), dtype=work)
         for k in range(m):
-            coef = _mod(cross[0] + work(lin[k]), p)
-            rows = vals + np.multiply.outer(v.astype(work), coef)
+            rows = vals + np.multiply.outer(vw, cross[0] + work.type(lin[k]))
             if quad is not None:
-                # the per-v terms, of length p, are reduced in int64 before the cast
-                rows += (quad[k, k] * (v * v % p) % p).astype(work)[:, None]
-                later = (np.multiply.outer(2 * quad[k, k + 1:] % p, v) % p).astype(work)
-                cross = _mod(cross[1:, None, :] + later[:, :, None], p)
-                cross = cross.reshape(m - k - 1, rows.size)
-            vals = _mod(rows, p).reshape(-1)
-        return vals
+                rows += (quad[k, k] * v * v).astype(work)[:, None]
+                later = np.multiply.outer(2 * quad[k, k + 1:], v).astype(work)
+                cross = (cross[1:, None, :] + later[:, :, None]).reshape(m - k - 1, rows.size)
+            vals = rows.reshape(-1)
+        return _mod(vals, p).astype(self._dtype, copy=False)
 
     # -- scalar arithmetic ----------------------------------------------------
 
@@ -331,7 +348,7 @@ class FieldCtx:
     @cached_property
     def trace_x2(self) -> np.ndarray:
         """tr(x^2) = sum_ij Q_ij x_i x_j for every index x."""
-        return self._grid_form(np.zeros(self.m, np.int64), self._trace_form).astype(self._dtype)
+        return self._grid_form(np.zeros(self.m, np.int64), self._trace_form)
 
     @cached_property
     def trace_x2_counts(self) -> np.ndarray:
@@ -341,20 +358,27 @@ class FieldCtx:
     @cached_property
     def trace_x2_plus_x(self) -> np.ndarray:
         """tr(x^2 + x) for every index x (trace is additive)."""
-        s = self.trace_x2.astype(np.int64) + self.trace_table
-        return _mod(s, self.p).astype(self._dtype)
+        s = np.add(self.trace_x2, self.trace_table, dtype=self._work)
+        return _mod(s, self.p).astype(self._dtype, copy=False)
 
     @cached_property
     def trace_pair_counts(self) -> np.ndarray:
         """H[s, t] = |{x : tr(x^2) = s, tr(x) = t}|, for m >= 2, where its p^2 cells are <= q."""
         if self.m < 2:
             raise CaseMismatch(f"the (tr x^2, tr x) table needs m >= 2, got m={self.m}")
-        pair = self.trace_x2.astype(np.int64) * self.p + self.trace_table
-        return np.bincount(pair, minlength=self.p ** 2).reshape(self.p, self.p)
+        return np.bincount(self.trace_pair_key, minlength=self.p ** 2).reshape(self.p, self.p)
+
+    @cached_property
+    def trace_pair_key(self) -> np.ndarray:
+        """tr(x^2)*p + tr(x) for every index x, in the narrowest type that holds p^2 - 1."""
+        key = self.trace_x2.astype(_int_type(self.p ** 2 - 1))
+        key *= self.p
+        key += self.trace_table
+        return key
 
     def trace_mul_all(self, b: int) -> np.ndarray:
         """tr(b*x) = sum_ij Q_ij b_i x_j for every index x, as one array."""
-        return self._grid_form(self.element_digits(b) @ self._trace_form).astype(self._dtype)
+        return self._grid_form(self.element_digits(b) @ self._trace_form)
 
     def trace_dual(self, b):
         """The index of c(b) = Q*digits(b), for an index b or an array of them.

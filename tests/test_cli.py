@@ -412,6 +412,20 @@ def test_malformed_numeric_settings_are_usage_errors(tmp_path, capsys, monkeypat
     cfg.write_text("p=3\nm=3\nmax_q=x\n")
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == EXIT_USAGE and "'max_q'" in err
+    # a cap below 1 admits no field: it is malformed too, from any source
+    for cap in ("-5", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--p", "3", "--m", "2", "--max-q", cap])
+        assert exc.value.code == EXIT_USAGE
+        assert "--max-q" in capsys.readouterr().err
+        monkeypatch.setenv("CAP", cap)
+        code, _, err = run(capsys, "verify", "--p", "3", "--m", "2")
+        assert code == EXIT_USAGE and "CAP" in err
+        monkeypatch.delenv("CAP")
+        cfg.write_text(f"p=3\nm=2\nmax_q={cap}\n")
+        code, _, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE and "'max_q'" in err
+    assert run(capsys, "verify", "--p", "3", "--m", "1", "--max-q", "1")[0] == EXIT_CAP
 
 
 def test_settings_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, monkeypatch):
@@ -623,7 +637,8 @@ def assert_only_trace_forms(ctx):
     arrays = {k for k, v in vars(ctx).items() if isinstance(v, np.ndarray)}
     assert {"trace_table", "trace_x2", "trace_x2_plus_x"} <= arrays
     assert arrays <= {"_pows", "_comp_pows", "_trace_form", "trace_table", "trace_x2",
-                      "trace_x2_plus_x", "trace_x2_counts", "trace_pair_counts"}
+                      "trace_x2_plus_x", "trace_x2_counts", "trace_pair_key",
+                      "trace_pair_counts"}
 
 
 def test_gauss_and_dual_leave_log_tables_unbuilt():

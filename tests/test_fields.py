@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from defset.closed_form import first_of_each_class
 from defset.errors import DegreeTooSmall, FieldTooLarge, NotOddPrime
-from defset.fields import (DEFAULT_MAX_Q, MR_BOUND, FieldCtx, _poly_gcd, _poly_sub, _powmod,
-                           field, irreducible_polys, is_irreducible, is_prime, legendre,
+from defset.fields import (DEFAULT_MAX_Q, MR_BOUND, FieldCtx, _check_size, _poly_gcd, _poly_sub,
+                           _powmod, field, irreducible_polys, is_irreducible, is_prime, legendre,
                            require_odd_prime)
 
 
@@ -287,6 +288,8 @@ def test_grid_forms_match_digit_matrix_route(p, m):
         form = np.array([[_frobenius_trace(ctx, ctx.mul(a, b)) for b in alpha] for a in alpha])
         assert np.array_equal(ctx.trace_table, digits @ form[0] % p)
         assert np.array_equal(ctx.trace_x2, ((digits @ form) * digits).sum(1) % p)
+        assert np.array_equal(ctx.trace_x2_plus_x,
+                              (((digits @ form) * digits).sum(1) + digits @ form[0]) % p)
         duals = (digits @ form % p) @ np.array(alpha)
         assert np.array_equal(ctx.trace_dual(np.arange(q)), duals)
         bs = np.arange(q)
@@ -301,10 +304,49 @@ def test_grid_forms_match_digit_matrix_route(p, m):
             assert ctx.trace_dual(int(b)) == duals[b]
 
 
+@pytest.mark.parametrize("p,m,work", [(19, 2, np.int16), (23, 2, np.int32),
+                                      (13, 3, np.int16), (17, 3, np.int32),
+                                      (1289, 1, np.int32), (1291, 1, np.int64),
+                                      (811, 2, np.int32), (821, 2, np.int64)])
+def test_grid_sum_type_at_each_switch(p, m, work):
+    # the grid sums unreduced, in the narrowest type that holds m(p-1)^2 + m^2(p-1)^3;
+    # numpy wraps an overflowing array silently, so the form that reaches that bound
+    # at x = (p-1, ..., p-1), every coefficient p - 1, is checked on the last field
+    # below each switch and the first above it
+    ctx = FieldCtx(p, m, max_q=p ** m)
+    assert ctx._work == work
+    lin, quad = np.full(m, p - 1), np.full((m, m), p - 1)
+    digits = _digit_matrix(ctx)
+    want = (digits @ lin + ((digits @ quad) * digits).sum(1)) % p
+    assert np.array_equal(ctx._grid_form(lin, quad), want)
+
+
+def test_grid_sums_past_int64_are_refused():
+    # at m = 1 the bound (p-1)^2 + (p-1)^3 passes int64 from p = 2^21 + 1 on
+    assert _check_size(2097143, 1, 2097143) == 2097143
+    with pytest.raises(FieldTooLarge, match="int64"):
+        field(2097169, 1, max_q=2097169)
+
+
+def test_trace_pair_key():
+    # tr(x^2)*p + tr(x) in the narrowest type that holds p^2 - 1: 139^2 - 1 fits int16,
+    # 191^2 - 1 does not; first_of_each_class reads it
+    for p, m, key_type in [(3, 4, np.int16), (139, 2, np.int16), (191, 2, np.int32)]:
+        ctx = field(p, m, max_q=p ** m)
+        key = ctx.trace_x2.astype(np.int64) * p + ctx.trace_table
+        assert ctx.trace_pair_key.dtype == key_type
+        assert np.array_equal(ctx.trace_pair_key, key)
+        first = np.full(p * p, ctx.q, dtype=np.int64)
+        np.minimum.at(first, key[1:], np.arange(1, ctx.q))
+        got = first_of_each_class(ctx)
+        assert got.dtype == np.int64 and np.array_equal(got, first)
+
+
 @pytest.mark.parametrize("p", [32771, 46349])
 def test_grid_forms_past_int16_values_and_int32_products(p):
     # p - 1 needs more than int16 from p = 32769 on, and (p - 1)^2 more than
-    # int32 from p = 46341 on; at m = 1, tr(x) = x and tr(x^2) = x^2
+    # int32 from p = 46341 on, so the tables are int32 and the grid sums int64;
+    # at m = 1, tr(x) = x and tr(x^2) = x^2
     ctx = FieldCtx(p, 1, max_q=p)
     x = np.arange(p, dtype=np.int64)
     assert np.array_equal(ctx.trace_table, x)

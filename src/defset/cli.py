@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from .codes import (defining_set, distribution_csv, export_defining_set,
+from .codes import (WeightDistribution, defining_set, distribution_csv, export_defining_set,
                     transform_weight_distribution, weight_enumerator_string)
 from .closed_form import THEOREM_NUMBER, classify, predicted_distribution
 from .cyclotomic import gauss_closed
@@ -41,15 +41,18 @@ def _cap(text: str) -> int:
 
 def _load_config(path: str) -> dict[str, str]:
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise DefSetError(f"bad config line (want key=value): {line!r}")
-            cfg[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise DefSetError(f"bad config line (want key=value): {line!r}")
+                cfg[key.strip()] = value.strip()
+    except UnicodeDecodeError:
+        raise DefSetError(f"config file {path!r} is not UTF-8 text") from None
     return cfg
 
 
@@ -186,8 +189,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     st = _Settings(args)
     p, m = st.entries[0]
-    tag = classify(p, m)
     require_odd_prime(p)
+    tag = classify(p, m)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     unprintable = FieldTooLarge(f"the p={p}, m={m} table has entries that exceed the "
                                 f"{limit}-digit limit on printing an integer "
@@ -205,17 +208,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
                "rows": [[w, a] for w, a in pred.rows]}
         _emit(dumps_indent2(obj) + "\n", st.out)
         return EXIT_OK
-    if st.fmt == "csv":
-        rows = "\n".join(f"{w},{a}" for w, a in pred.rows)
-        _emit("weight,multiplicity\n" + rows + "\n", st.out)
-        return EXIT_OK
-    lines = [
-        f"p={p} m={m} case={tag.value} theorem={THEOREM_NUMBER[tag]}",
-        f"length={pred.n} dimension={pred.dimension} rows={len(pred.rows)}",
-        "weight,multiplicity",
-    ]
-    lines += [f"{w},{a}" for w, a in pred.rows]
-    _emit("\n".join(lines) + "\n", st.out)
+    table = distribution_csv(WeightDistribution(dict(pred.rows)))
+    if st.fmt == "text":
+        table = (f"p={p} m={m} case={tag.value} theorem={THEOREM_NUMBER[tag]}\n"
+                 f"length={pred.n} dimension={pred.dimension} rows={len(pred.rows)}\n" + table)
+    _emit(table, st.out)
     return EXIT_OK
 
 

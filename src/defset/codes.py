@@ -7,9 +7,7 @@ b ranging over F_q.
 
 from __future__ import annotations
 
-import bisect
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 
@@ -222,7 +220,7 @@ class LemmaCheck:
 
 
 @dataclass(frozen=True, eq=False)
-class ClassChecks(Sequence):
+class ClassChecks:
     """The lemma-9 and N_b checks of every realized (tr b^2, tr b) class, as columns.
 
     Class k is (t2[k], t1[k]) with smallest element b[k].  It has two rows, in
@@ -241,29 +239,21 @@ class ClassChecks(Sequence):
     nb_closed: np.ndarray
     nb_oracle: np.ndarray
 
-    @property
-    def columns(self) -> tuple[np.ndarray, ...]:
-        return (self.t2, self.t1, self.disc, self.b,
-                self.b_closed, self.b_oracle, self.nb_closed, self.nb_oracle)
-
     def __len__(self) -> int:
         return 2 * self.b.size
 
-    def __getitem__(self, i: int) -> LemmaCheck:
-        k, nb_row = divmod(range(len(self))[i], 2)
-        t2, t1, disc, b, b_closed, b_oracle, nb_closed, nb_oracle = (
-            col[k].item() for col in self.columns)
-        params = {"t2": t2, "t1": t1, "disc": disc, "b": b}
-        if nb_row:
-            return LemmaCheck(self.nb_id, params, nb_closed, nb_oracle, nb_closed == nb_oracle)
-        return LemmaCheck("lemma9", params, b_closed, b_oracle, b_closed == b_oracle)
+    def _rows(self, at: np.ndarray):
+        """The rows at positions `at`: row 2k is class k's lemma-9 row, row 2k + 1 its N_b row."""
+        k, is_nb = np.divmod(at, 2)
+        closed = np.where(is_nb, self.nb_closed[k], self.b_closed[k])
+        oracle = np.where(is_nb, self.nb_oracle[k], self.b_oracle[k])
+        for nb_row, t2, t1, disc, b, c, o in zip(*(col.tolist() for col in (
+                is_nb, self.t2[k], self.t1[k], self.disc[k], self.b[k], closed, oracle))):
+            yield LemmaCheck(self.nb_id if nb_row else "lemma9",
+                             {"t2": t2, "t1": t1, "disc": disc, "b": b}, c, o, c == o)
 
     def __iter__(self):
-        for t2, t1, disc, b, b_closed, b_oracle, nb_closed, nb_oracle in zip(
-                *(col.tolist() for col in self.columns)):
-            params = {"t2": t2, "t1": t1, "disc": disc, "b": b}
-            yield LemmaCheck("lemma9", params, b_closed, b_oracle, b_closed == b_oracle)
-            yield LemmaCheck(self.nb_id, params, nb_closed, nb_oracle, nb_closed == nb_oracle)
+        return self._rows(np.arange(len(self)))
 
     def all_match(self) -> bool:
         return (np.array_equal(self.b_closed, self.b_oracle)
@@ -271,26 +261,22 @@ class ClassChecks(Sequence):
 
     def mismatches(self) -> list[LemmaCheck]:
         bad = np.column_stack([self.b_closed != self.b_oracle, self.nb_closed != self.nb_oracle])
-        return [self[i] for i in np.flatnonzero(bad).tolist()]
+        return list(self._rows(np.flatnonzero(bad)))
 
 
-class LemmaChecks(Sequence):
+class LemmaChecks:
     """A report's checks in order, from parts that are LemmaCheck lists or ClassChecks.
 
-    Read-only; it reads like the list of its rows and equals that list.
+    Read-only; it iterates, counts its rows and mismatches, and compares equal
+    to a list of LemmaCheck like the list of its rows, but builds a class row
+    only when one is read.
     """
 
     def __init__(self, parts=()):
         self.parts = tuple(parts)
-        self._ends = list(itertools.accumulate(len(part) for part in self.parts))
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, i: int) -> LemmaCheck:
-        i = range(len(self))[i]
-        k = bisect.bisect_right(self._ends, i)
-        return self.parts[k][i - (self._ends[k - 1] if k else 0)]
+        return sum(map(len, self.parts))
 
     def __iter__(self):
         return itertools.chain.from_iterable(self.parts)
@@ -299,8 +285,6 @@ class LemmaChecks(Sequence):
         if not isinstance(other, (LemmaChecks, list)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
 
     def all_match(self) -> bool:
         return all(part.all_match() if isinstance(part, ClassChecks) else

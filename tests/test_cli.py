@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,7 +167,8 @@ def test_build_past_int16_characteristic(capsys):
     assert report["distribution"] == [[0, 1], [1, 32770]]
 
 
-@pytest.mark.parametrize("p,m", [("1", "4"), ("9", "2"), ("25", "4"), ("2", "2"), ("-3", "2")])
+@pytest.mark.parametrize("p,m", [("1", "4"), ("9", "2"), ("25", "4"), ("2", "2"), ("-3", "2"),
+                                 ("0", "2"), ("0", "3")])
 def test_predict_rejects_p_not_an_odd_prime(capsys, p, m):
     # even m evaluates no Legendre symbol, so the table itself must check p
     code, out, err = run(capsys, "predict", "--p", p, "--m", m)
@@ -192,6 +196,10 @@ def test_predict_36_rows(capsys):
     code, out, _ = run(capsys, "predict", "--p", "3", "--m", "6", "--format", "csv")
     assert code == EXIT_OK
     assert out == "weight,multiplicity\n162,98\n171,324\n180,306\n"
+    code, out, _ = run(capsys, "predict", "--p", "3", "--m", "6")
+    assert code == EXIT_OK
+    assert out == ("p=3 m=6 case=even_divides theorem=1\nlength=260 dimension=6 rows=3\n"
+                   "weight,multiplicity\n162,98\n171,324\n180,306\n")
 
 
 def test_predict_past_the_integer_printing_limit(capsys, monkeypatch):
@@ -676,6 +684,14 @@ def test_config_file(tmp_path, capsys):
     assert (code, out) == (EXIT_USAGE, "") and "'format json'" in err
 
 
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"p=3\nm=3\n\xff=1\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert len(err.splitlines()) == 1 and str(cfg) in err and "UTF-8" in err
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, _, _ = run(capsys, "verify", "--p", "3", "--m", "3", "--format", "json",
@@ -693,3 +709,19 @@ def test_run_verification_api(monkeypatch):
     corrupt_prediction(monkeypatch)
     bad = run_verification(3, 4)
     assert not bad.passed and not bad.match
+
+
+def test_entry_point_exit_codes():
+    # `python -m defset` in a fresh process: the exit code and stderr a user sees
+    env = {k: v for k, v in os.environ.items() if k != "CAP"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+
+    def defset(*argv):
+        return subprocess.run([sys.executable, "-m", "defset", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    assert defset("predict", "--p", "3", "--m", "3").returncode == EXIT_OK
+    proc = defset("predict", "--p", "0", "--m", "2")
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert defset("verify", "--p", "3", "--m", "30").returncode == EXIT_CAP

@@ -9,6 +9,7 @@ primality test, or, for `predict`, the interpreter's limit on printing an intege
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -18,9 +19,9 @@ from .codes import (WeightDistribution, defining_set, distribution_csv, export_d
 from .closed_form import THEOREM_NUMBER, classify, predicted_distribution
 from .cyclotomic import gauss_closed
 from .errors import DefSetError, FieldTooLarge, NonIntegralTableEntry
-from .fields import DEFAULT_MAX_Q, field, require_odd_prime
+from .fields import DEFAULT_MAX_Q, _check_size, field, require_odd_prime
 # report_dict is also read as cli.report_dict, by perfbench/replay.py
-from .report import dumps_indent2, report_csv_row, report_dict, report_text, reports_json
+from .report import report_dict, report_text, reports_csv, reports_json
 from .verify import CHECK_FAMILIES, gauss_checks, run_verification
 
 EXIT_OK = 0
@@ -168,7 +169,7 @@ def cmd_build(args: argparse.Namespace) -> int:
                "enumerator": None if dist is None else weight_enumerator_string(dist),
                "distribution": None if dist is None else [[w, a] for w, a in dist.items()],
                "defining_set": d_export.splitlines()}
-        _emit(dumps_indent2(obj) + "\n", st.out)
+        _emit(json.dumps(obj, indent=2) + "\n", st.out)
         return EXIT_OK
 
     lines = [header]
@@ -206,7 +207,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         obj = {"p": p, "m": m, "case": tag.value, "theorem": THEOREM_NUMBER[tag],
                "length": pred.n, "dimension": pred.dimension,
                "rows": [[w, a] for w, a in pred.rows]}
-        _emit(dumps_indent2(obj) + "\n", st.out)
+        _emit(json.dumps(obj, indent=2) + "\n", st.out)
         return EXIT_OK
     table = distribution_csv(WeightDistribution(dict(pred.rows)))
     if st.fmt == "text":
@@ -220,16 +221,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     st = _Settings(args)
     if args.timestamps and st.fmt != "json":
         raise DefSetError("--timestamps needs --format json, the only format with runtime_ms")
+    # refuse the grid at its first bad entry before verifying any entry
+    for p, m in st.entries:
+        _check_size(p, m, st.max_q)
+        predicted_distribution(p, m)
     reports = [run_verification(p, m, max_q=st.max_q, checks=st.checks)
                for p, m in st.entries]
 
     if st.fmt == "json":
         _emit(reports_json(reports, st.single, args.timestamps) + "\n", st.out)
     elif st.fmt == "csv":
-        header = ("p,m,case,theorem,n_predicted,n_bruteforce,match,"
-                  "moment1,moment2,dual_distance_two,wmin,wmax,ss_passes,passed")
-        body = "\n".join(report_csv_row(r) for r in reports)
-        _emit(header + "\n" + body + "\n", st.out)
+        _emit(reports_csv(reports), st.out)
     else:
         _emit("\n".join(report_text(r, st.checks) for r in reports) + "\n", st.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH
@@ -249,7 +251,7 @@ def cmd_gauss(args: argparse.Namespace) -> int:
                "closed_value": [closed.value().real, closed.value().imag],
                "checks": [{"id": c.id, "closed": c.closed, "oracle": c.oracle,
                            "match": c.match} for c in checks]}
-        _emit(dumps_indent2(obj) + "\n", st.out)
+        _emit(json.dumps(obj, indent=2) + "\n", st.out)
     else:
         lines = [
             f"G exact  = {exact}",

@@ -1,4 +1,4 @@
-"""The verify report as JSON, text and CSV, and the JSON writer of every subcommand."""
+"""The verify report as JSON, text and CSV."""
 
 from __future__ import annotations
 
@@ -79,7 +79,11 @@ def report_text(rep: VerifyReport, checks: tuple[str, ...]) -> str:
     return "\n".join(lines)
 
 
-def report_csv_row(rep: VerifyReport) -> str:
+_CSV_HEADER = ("p,m,case,theorem,n_predicted,n_bruteforce,match,"
+               "moment1,moment2,dual_distance_two,wmin,wmax,ss_passes,passed")
+
+
+def _csv_row(rep: VerifyReport) -> str:
     mom = rep.moment_checks or (None, None)
     ss = rep.ss_ratio or (None, None, None)
     cells = [rep.p, rep.m, rep.case, rep.theorem, rep.n_predicted, rep.n_bruteforce,
@@ -88,57 +92,16 @@ def report_csv_row(rep: VerifyReport) -> str:
     return ",".join("" if c is None else str(c) for c in cells)
 
 
-# class of each byte of the one-line JSON text: 1 opens a container, -1 closes
-# one, 2 separates items, 3 delimits a string
-_BYTE_CLASS = np.zeros(256, np.int8)
-_BYTE_CLASS[list(b"{[")] = 1
-_BYTE_CLASS[list(b"}]")] = -1
-_BYTE_CLASS[ord(",")] = 2
-_BYTE_CLASS[ord('"')] = 3
+def reports_csv(reports: list[VerifyReport]) -> str:
+    """The header and one row per report, each line ended by a newline."""
+    return "\n".join([_CSV_HEADER, *map(_csv_row, reports)]) + "\n"
 
 
-def dumps_indent2(obj) -> str:
-    """Exactly `json.dumps(obj, indent=2)`, indented from the C encoder's one-line text.
-
-    CPython encodes in pure Python whenever `indent` is set, which at large p
-    costs more than the verification it reports.  The C encoder writes the
-    same tokens on one line; this puts `"\\n" + "  " * depth` after every
-    non-empty open and every comma, and before every non-empty close.
-    """
-    flat = json.dumps(obj, separators=(",", ": ")).encode()  # ASCII: a byte per char
-    # a backslash always opens an escape, and the encoder never writes a NUL, so
-    # with \\ and then \" masked every '"' left delimits a string
-    masked = flat.replace(b"\\\\", b"\0\0").replace(b'\\"', b"\0\0")
-    cls = np.take(_BYTE_CLASS, np.frombuffer(masked, np.uint8))
-    pos = np.flatnonzero(cls != 0).astype(np.int32)
-    kind = cls[pos]
-    quote = kind == 3
-    keep = ~(np.bitwise_xor.accumulate(quote) | quote)  # outside strings
-    # an open right before a close is an empty container, written as is
-    empty = (kind[:-1] == 1) & (kind[1:] == -1) & (pos[1:] - pos[:-1] == 1)
-    keep[:-1] &= ~empty
-    keep[1:] &= ~empty
-    pos, kind = pos[keep], kind[keep]
-    if not pos.size:
-        return flat.decode()
-    pad = 2 * np.cumsum(np.where(kind == 2, 0, kind), dtype=np.int32) + 1
-    at = pos + (kind != -1)  # where each pad goes in the one-line text
-    shift = np.cumsum(pad, dtype=np.int32)
-    start = at + shift - pad  # and in the output
-    is_pad = np.zeros(len(flat) + int(shift[-1]), bool)
-    is_pad[start] = is_pad[start + pad] = True  # each pad flips in and back out
-    np.bitwise_xor.accumulate(is_pad, out=is_pad)
-    out = np.full(is_pad.size, ord(" "), np.uint8)
-    out[~is_pad] = np.frombuffer(flat, np.uint8)
-    out[start] = ord("\n")
-    return out.tobytes().decode("ascii")
-
-
-# stands for a ClassChecks in the objects given to dumps_indent2, which
+# stands for a ClassChecks in the objects given to json.dumps, which
 # writes it as _CLASS_TOKEN where the class rows go
 _CLASS_BLOCK = "\0class checks"
 _CLASS_TOKEN = json.dumps(_CLASS_BLOCK)
-# a class row as dumps_indent2 writes a LemmaCheck with four params at depth 0
+# a class row as json.dumps(indent=2) writes a LemmaCheck with four params at depth 0
 _CLASS_ROW = """{
   "id": "<id>",
   "params": {
@@ -154,7 +117,7 @@ _CLASS_ROW = """{
 
 
 def _class_block(cc: ClassChecks, indent: str) -> str:
-    """The rows of cc as dumps_indent2 writes them in a list at this indent,
+    """The rows of cc as json.dumps(indent=2) writes them in a list at this indent,
     with the first line not indented: one %-format of a two-row template."""
     pair = ",\n".join(_CLASS_ROW.replace("<id>", row_id) for row_id in ("lemma9", cc.nb_id))
     pair = pair.replace("\n", "\n" + indent)
@@ -170,7 +133,8 @@ def _class_block(cc: ClassChecks, indent: str) -> str:
 
 
 def reports_json(reports: list[VerifyReport], single: bool, include_runtime: bool) -> str:
-    """dumps_indent2 of the report_dict objects, each ClassChecks written by _class_block."""
+    """json.dumps(indent=2) of the report_dict objects, each ClassChecks written by
+    _class_block."""
     objs, blocks = [], []
     for rep in reports:
         lemmas = []
@@ -181,7 +145,7 @@ def reports_json(reports: list[VerifyReport], single: bool, include_runtime: boo
                 lemmas.append(_CLASS_BLOCK)
                 blocks.append(part)
         objs.append(report_dict(rep, include_runtime, lemmas))
-    pieces = dumps_indent2(objs[0] if single else objs).split(_CLASS_TOKEN)
+    pieces = json.dumps(objs[0] if single else objs, indent=2).split(_CLASS_TOKEN)
     out = pieces[:1]
     for block, piece in zip(blocks, pieces[1:]):
         indent = " " * (len(out[-1]) - 1 - out[-1].rfind("\n"))

@@ -152,7 +152,9 @@ def test_build_past_default_cap(capsys):
     assert code == EXIT_OK, err
     want = predicted_distribution(3, 10).with_zero_word()
     assert json.loads(out)["distribution"] == [[w, a] for w, a in want.items()]
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    # pins the digits and the order of D as well as the layout
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "821e3f93477b8ffd9a28c2b31c70c30da46fa6851cd6df3f3f13ec92d343902b")
 
 
 def test_build_past_int16_characteristic(capsys):
@@ -344,6 +346,12 @@ def test_verify_csv_summary(capsys):
     header, row = out.strip().split("\n")
     assert header.startswith("p,m,case,theorem")
     assert row.startswith("3,4,even_coprime,2,29,29,True")
+    code, out, _ = run(capsys, "verify", "--grid", "3,3;5,3", "--format", "csv")
+    assert code == EXIT_OK
+    assert out == ("p,m,case,theorem,n_predicted,n_bruteforce,match,"
+                   "moment1,moment2,dual_distance_two,wmin,wmax,ss_passes,passed\n"
+                   "3,3,odd_divides,3,8,8,True,True,True,True,4,7,False,True\n"
+                   "5,3,odd_coprime,4,19,19,True,True,True,False,14,19,False,True\n")
 
 
 def count_gauss_sum_exact(monkeypatch) -> list:
@@ -396,6 +404,19 @@ def test_gauss_examples(capsys, monkeypatch):
     assert code == EXIT_OK and calls == [(9973, 1)]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "71108593fc68f45873e8fdfd408ac2ac196ff3bf12f6d4e9b8e2859bc9f3c63a")
+
+
+@pytest.mark.parametrize("grid,code,err", [
+    ("3,3;3,40", EXIT_CAP, "p^m = 3^40 exceeds the cap 20000"),
+    ("3,3;4,2", EXIT_USAGE, "p=4 is not an odd prime"),
+    ("3,3;3,1;4,2", EXIT_USAGE, "closed form needs m >= 2, got m=1"),
+])
+def test_bad_grid_entry_is_refused_before_any_verification(capsys, monkeypatch, grid, code,
+                                                            err):
+    calls = []
+    monkeypatch.setattr(cli, "run_verification", lambda *a, **k: calls.append(a))
+    assert run(capsys, "verify", "--grid", grid) == (code, "", f"error: {err}\n")
+    assert calls == []
 
 
 def test_usage_errors(capsys):

@@ -1,12 +1,8 @@
-"""Property-based invariants (hypothesis) for field, code and ring algebra, and the
-JSON writer."""
-
-import json
+"""Property-based invariants (hypothesis) for field, code and ring algebra."""
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from defset.cli import dumps_indent2
 from defset.codes import codeword, count_Nb, defining_set, weight_of
 from defset.cyclotomic import CycInt, embed_complex
 from defset.fields import field
@@ -126,27 +122,3 @@ def test_cycint_integers_embed_faithfully(p, n, k):
     assert a.to_int() == n
     assert (a + CycInt.from_int(p, k)).to_int() == n + k
     assert (a * CycInt.from_int(p, k)).to_int() == n * k
-
-
-# text the indenting could misread: quotes, backslashes (alone and before a quote),
-# the structural bytes and ": ", control characters, non-ASCII and a lone surrogate
-json_text = st.lists(st.sampled_from(['"', "\\", '\\"', "{[,]}: ", "{", "[", ",", "]", "}", ":",
-                                      " ", "\n", "\x00", "\x1f", "a", "é", "☃", "𝄞", "\ud800"])
-                     ).map("".join) | st.text()
-json_scalars = (st.none() | st.booleans() | st.integers()
-                | st.integers(2 ** 63, 2 ** 200) | st.integers(-(2 ** 200), -(2 ** 63))
-                | st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300])
-                | json_text)
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
-    max_leaves=20)
-
-
-@given(json_values)
-@example([[]]).via("nested empty list")
-@example({"": {}, "a": [[], {}]}).via("nested empty containers")
-@example('{[,]}: \\"').via("top-level string of structural bytes")
-@example(None).via("top-level null")
-def test_dumps_indent2_is_the_stdlib_encoding(obj):
-    assert dumps_indent2(obj) == json.dumps(obj, indent=2)

@@ -155,16 +155,17 @@ def cmd_build(args: argparse.Namespace) -> int:
     ctx = field(p, m, st.max_q)
     ds = defining_set(ctx)
     dist = None if args.no_enumerate else transform_weight_distribution(ds)
+    k = ds.dimension
 
     if dist is not None:
         d_min = min(dist.nonzero_weights()) if dist.nonzero_weights() else 0
-        header = f"[{ds.n},{m},{d_min}]"
+        header = f"[{ds.n},{k},{d_min}]"
     else:
-        header = f"[{ds.n},{m}]"
+        header = f"[{ds.n},{k}]"
     d_export = export_defining_set(ds)
 
     if st.fmt == "json":
-        obj = {"p": p, "m": m, "n": ds.n, "k": m,
+        obj = {"p": p, "m": m, "n": ds.n, "k": k,
                "d": None if dist is None else d_min,
                "enumerator": None if dist is None else weight_enumerator_string(dist),
                "distribution": None if dist is None else [[w, a] for w, a in dist.items()],

@@ -260,62 +260,15 @@ def lemma_Nb_predicted(p: int, m: int, cls: BClass) -> int:
     return pm2 - legendre(-t2, p) * t
 
 
-def _class_case(p: int, m: int):
-    """(B, N_b) of a class as a function of (t2 = 0, t1 = 0, eta(-t2), eta(m*t2 - t1^2)).
-
-    The same values as `lemma9_B` and `lemma_Nb_predicted`, which stay the
-    reference, stated once per regime with the Gauss quantities computed once.
-    """
-    pm2 = _require_m2(p, m)
-    tag = classify(p, m)
-    if tag in (CaseTag.EVEN_DIVIDES, CaseTag.EVEN_COPRIME):
-        G = G_even(p, m)
-        gp = _exact_div(G, p)
-        eta_m1 = legendre(-1, p)
-        if tag is CaseTag.EVEN_DIVIDES:
-            def case(z2, z1, s, e):
-                if z2 and z1:
-                    return (p - 1) ** 2 * G, pm2 + (p - 1) * gp
-                if z2 or z1:
-                    return -(p - 1) * G, pm2
-                # eta(-1) * G * Gbar^2 - (p-1) * G = G, as Gbar^2 = eta(-1) * p
-                return G, pm2 + gp
-            return case
-
-        def case(z2, z1, s, e):
-            if z2:
-                return (-(p - 1) * G, pm2 - gp) if z1 else (G, pm2)
-            # e = 0 is the disc case; at t1 = 0, e = eta(m*t2)
-            return e * eta_m1 * p * G + G, pm2 + e * eta_m1 * gp
-        return case
-    GG = GGbar_odd(p, m)
-    t = _exact_div(GG, p * p)
-    if tag is CaseTag.ODD_DIVIDES:
-        def case(z2, z1, s, e):
-            if z2:
-                return 0, pm2
-            return (s * (p - 1) * GG, pm2 + s * (p - 1) * t) if z1 else (-s * GG, pm2 - s * t)
-        return case
-    L = legendre(-m, p)
-    gg_p = _exact_div(GG, p)
-
-    def case(z2, z1, s, e):
-        if z2:
-            return (L * (p - 1) * GG, pm2 + L * gg_p) if z1 else (-L * GG, pm2)
-        if e == 0:  # disc; as p does not divide m, t1 != 0 here
-            return (s * (p - 1) - L) * GG, pm2 + L * (p - 1) * t
-        return -(s + L) * GG, pm2 - s * t
-    return case
-
-
 def class_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Lemma 9's B and the case's N_b lemma at every class, as p x p int64 arrays [t2, t1].
 
-    A cell's case is read off t2 = 0, t1 = 0, eta(-t2) and eta(m*t2 - t1^2),
-    with eta from one Legendre table of F_p; the 36 case values are Python
-    ints, placed by one index.  No field is built and no count is read.
+    `lemma9_B` and `lemma_Nb_predicted` depend on a class only through its case
+    key: t2 = 0, t1 = 0, eta(-t2) and eta(m*t2 - t1^2), with eta from one
+    Legendre table of F_p.  Each is evaluated once per realized key, at one
+    cell with that key, and the values are placed by one index.  No field is
+    built and no count is read.
     """
-    case = _class_case(p, m)
     eta = np.full(p, -1, dtype=np.int64)
     eta[0] = 0
     eta[np.arange(1, p) ** 2 % p] = 1
@@ -324,9 +277,14 @@ def class_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     eta_t2 = eta[-t2 % p]
     eta_d = eta[(m % p * t2 - t1 * t1) % p]
     idx = ((2 * (t2 == 0) + (t1 == 0)) * 3 + eta_t2 + 1) * 3 + eta_d + 1
-    values = [case(z2, z1, s, e) for z2 in (0, 1) for z1 in (0, 1)
-              for s in (-1, 0, 1) for e in (-1, 0, 1)]
-    b_vals, n_vals = (np.array(col, dtype=np.int64) for col in zip(*values))
+    cell = np.full(36, -1, dtype=np.int64)
+    cell[idx] = np.arange(p * p).reshape(p, p)
+    b_vals, n_vals = np.zeros(36, dtype=np.int64), np.zeros(36, dtype=np.int64)
+    for key in np.flatnonzero(cell >= 0).tolist():
+        c2, c1 = divmod(int(cell[key]), p)
+        cls = BClass(c2, c1, (c1 * c1 - m * c2) % p == 0)
+        b_vals[key] = lemma9_B(p, m, cls)
+        n_vals[key] = lemma_Nb_predicted(p, m, cls)
     return b_vals[idx], n_vals[idx]
 
 
@@ -361,7 +319,11 @@ def predicted_length(p: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class PredictedDistribution:
-    """Nonzero-weight rows of the predicted table, merged and pruned."""
+    """The predicted table's rows over the words c_b with b != 0, merged and pruned.
+
+    A row may have weight 0 (at p = 3, m = 2); dimension is k = m - log_p A_0,
+    where A_0 counts every b, 0 included, with c_b = 0.
+    """
 
     rows: tuple[tuple[int, int], ...]
     n: int
@@ -433,7 +395,11 @@ def predicted_distribution(p: int, m: int) -> PredictedDistribution:
     if total != p ** m - 1:
         raise NonIntegralTableEntry(
             f"table multiplicities sum to {total}, expected {p ** m - 1}")
-    return PredictedDistribution(rows, n, m)
+    # the b with c_b = 0 form the kernel of b -> c_b, of size p^(m - k)
+    zeros, k = dict(rows).get(0, 0) + 1, m
+    while zeros > 1:
+        zeros, k = _exact_div(zeros, p), k - 1
+    return PredictedDistribution(rows, n, k)
 
 
 # --- brute-force oracles -------------------------------------------------------

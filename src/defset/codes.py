@@ -38,6 +38,31 @@ class DefiningSet:
         """T[i, j] = tr(alpha^i * d_j) from the trace table: tr(b*d_j) = sum_i b_i T[i, j] mod p."""
         return self.ctx.trace_table[self.ctx.basis_multiples(self.elements)]
 
+    @property
+    def dimension(self) -> int:
+        """k of C_D: the F_p-rank of D's digit vectors.
+
+        b -> c_b is F_p-linear with the trace dual of span(D) as its kernel.  The
+        rows are eliminated in strided blocks of about 64, so the first block is
+        an even sample of D, and the elimination stops once the rank is m.
+        """
+        p, m = self.ctx.p, self.ctx.m
+        stride = -(-self.n // 64)
+        pivots: list[tuple[int, np.ndarray]] = []  # (column, row: 1 there, 0 at earlier pivots)
+        for start in range(stride):
+            x = self.ctx.element_digits(self.elements[start::stride])
+            for c, v in pivots:
+                x = (x - x[:, c, None] * v) % p
+            for c in range(m):
+                nz = np.flatnonzero(x[:, c])
+                if nz.size:
+                    v = x[nz[0]] * pow(int(x[nz[0], c]), -1, p) % p
+                    x = (x - x[:, c, None] * v) % p
+                    pivots.append((c, v))
+            if len(pivots) == m:
+                break
+        return len(pivots)
+
 
 def defining_set(ctx: FieldCtx) -> DefiningSet:
     s = ctx.trace_x2_plus_x

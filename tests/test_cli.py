@@ -157,6 +157,26 @@ def test_build_past_default_cap(capsys):
         "821e3f93477b8ffd9a28c2b31c70c30da46fa6851cd6df3f3f13ec92d343902b")
 
 
+def test_dimension_at_3_2(capsys):
+    # C_D at (3, 2) is one coordinate, and the b with c_b = 0 are 3 of the 9: k = 1
+    code, out, _ = run(capsys, "predict", "--p", "3", "--m", "2")
+    assert (code, out) == (EXIT_OK, "p=3 m=2 case=even_coprime theorem=2\n"
+                           "length=1 dimension=1 rows=2\nweight,multiplicity\n0,2\n1,6\n")
+    code, out, _ = run(capsys, "predict", "--p", "3", "--m", "2", "--format", "json")
+    assert code == EXIT_OK and out == json.dumps(
+        {"p": 3, "m": 2, "case": "even_coprime", "theorem": 2, "length": 1, "dimension": 1,
+         "rows": [[0, 2], [1, 6]]}, indent=2) + "\n"
+    code, out, _ = run(capsys, "build", "--p", "3", "--m", "2")
+    assert (code, out) == (EXIT_OK, "[1,1,1]\n3+6x^1\n"
+                           "defining set (c0,...,c_{m-1} per line):\n2,0\n")
+    code, out, _ = run(capsys, "build", "--p", "3", "--m", "2", "--format", "json")
+    assert code == EXIT_OK and out == json.dumps(
+        {"p": 3, "m": 2, "n": 1, "k": 1, "d": 1, "enumerator": "3+6x^1",
+         "distribution": [[0, 3], [1, 6]], "defining_set": ["2,0"]}, indent=2) + "\n"
+    code, out, _ = run(capsys, "build", "--p", "3", "--m", "2", "--no-enumerate")
+    assert (code, out.splitlines()[0]) == (EXIT_OK, "[1,1]")
+
+
 def test_build_past_int16_characteristic(capsys):
     # every field table holds values up to p - 1, past int16 once p >= 32768;
     # at m = 1, tr(x^2 + x) = x^2 + x vanishes on F_p* only at x = -1
@@ -730,6 +750,26 @@ def test_run_verification_api(monkeypatch):
     corrupt_prediction(monkeypatch)
     bad = run_verification(3, 4)
     assert not bad.passed and not bad.match
+
+
+def test_subcommands_import_no_numpy_submodule():
+    # a numpy submodule imported on first use (numpy.ma by np.unique, say) adds
+    # about 1 MB to every run's peak RSS; after `import defset.cli`, no run imports one
+    script = """
+import contextlib, io, sys
+from defset.cli import main
+before = set(sys.modules)
+for argv in (["verify", "--p", "5", "--m", "3"], ["build", "--p", "3", "--m", "4"],
+             ["predict", "--p", "7", "--m", "3"], ["gauss", "--p", "3", "--m", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"))
+"""
+    env = {k: v for k, v in os.environ.items() if k != "CAP"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_entry_point_exit_codes():

@@ -1,6 +1,7 @@
 """Closed-form evaluators against frozen values and enumeration oracles."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -304,6 +305,23 @@ def test_class_tables_equal_the_scalar_forms_at_every_cell():
                 assert nb_table[t2][t1] == lemma_Nb_predicted(p, m, cls), (p, m, cls)
 
 
+@pytest.mark.parametrize("p", [61, 67, 509, 1019, 1097])
+def test_class_tables_equal_the_scalar_forms_at_sampled_cells(p):
+    # past p = 60, with p = 1 and 3 mod 4: the axes t2 = 0 and t1 = 0, the
+    # discriminant curve t1^2 = m*t2 and random cells
+    rng = random.Random(p)
+    for m in range(2, 6):
+        b_table, nb_table = class_tables(p, m)
+        rs = rng.sample(range(1, p), 12)
+        cells = [(0, 0)] + [(0, r) for r in rs] + [(r, 0) for r in rs]
+        cells += [(r * r * pow(m, -1, p) % p, r) for r in rs]
+        cells += [(rng.randrange(p), rng.randrange(p)) for _ in range(60)]
+        for t2, t1 in cells:
+            cls = BClass(t2, t1, (t1 * t1 - m * t2) % p == 0)
+            assert b_table[t2, t1] == lemma9_B(p, m, cls), (p, m, cls)
+            assert nb_table[t2, t1] == lemma_Nb_predicted(p, m, cls), (p, m, cls)
+
+
 def test_lemma16_examples_and_oracle():
     assert lemma16_uc(3, 3, 0) == 9
     assert lemma16_uc(3, 3, 1) == 6
@@ -402,7 +420,7 @@ def test_theorems_hold_on_every_small_field(p, m):
     # times under `-m slow`), not only the grid; uncached fields, so the sweep holds no tables
     pred = predicted_distribution(p, m)
     ds = defining_set(FieldCtx(p, m, max_q=p ** m))
-    assert ds.n == pred.n
+    assert ds.n == pred.n and ds.dimension == pred.dimension
     assert transform_weight_distribution(ds) == pred.with_zero_word()
 
 

@@ -40,6 +40,26 @@ def test_codeword_zero_and_partition():
         assert int(np.count_nonzero(cw)) + zeros == ds.n
 
 
+def test_dimension_is_the_rank_of_the_defining_set():
+    # k = m - log_p |{b : c_b = 0}|; the sets in F_729 take two or more blocks
+    # of the strided elimination, and in the last the first block has rank 1
+    def kernel_dimension(ds):
+        zeros = sum(not codeword(ds, b).any() for b in range(ds.ctx.q))
+        return ds.ctx.m - round(math.log(zeros, ds.ctx.p))
+
+    for p, m in [(3, 2), (3, 3), (3, 4), (5, 3), (7, 2)]:
+        ds = defining_set(field(p, m))
+        assert ds.dimension == kernel_dimension(ds) == (1 if (p, m) == (3, 2) else m)
+    ctx = field(3, 6)
+    x = np.arange(1, ctx.q)
+    digits = ctx.element_digits(x)
+    for elements, k in [(x[x < 81], 4), (x[digits[:, 0] == digits[:, 5]], 5),
+                        (x[(digits[:, 1:] == 0).all(axis=1)], 1), (np.tile([1, 3], 64), 2)]:
+        ds = DefiningSet(ctx, elements)
+        assert ds.dimension == kernel_dimension(ds) == k
+    assert DefiningSet(ctx, x[:0]).dimension == 0
+
+
 def test_codeword_attains_minimum_weight():
     ds = defining_set(field(3, 3))
     weights = {int(np.count_nonzero(codeword(ds, b))) for b in range(ds.ctx.q)}

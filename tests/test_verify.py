@@ -88,17 +88,32 @@ def test_lemma_suite_reads_nb_of_each_class(p, m):
 
 
 def test_verify_evaluates_no_scalar_closed_form_per_class(monkeypatch):
-    # the lemma-9 and N_b closed values come from class_tables; the scalar forms
-    # and BClass stay the reference for the tests and the replay
+    # the lemma-9 and N_b closed values come from class_tables, which evaluates
+    # each scalar form once per realized case key (at most 36), not once per class
+    fields = [(17, 3), (139, 2)]
+    assert [len(realized_b_classes(field(p, m))) for p, m in fields] == [288, 9729]
+    calls = {}
+
+    def counted(name):
+        real = getattr(closed_form, name)
+
+        def fn(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return fn
+
     def refuse(*args, **kwargs):
-        raise AssertionError("a scalar closed form was evaluated")
+        raise AssertionError("BClass.from_element was called")
 
     for name in ("lemma9_B", "lemma_Nb_predicted"):
-        monkeypatch.setattr(closed_form, name, refuse)
-        monkeypatch.setattr(verify, name, refuse, raising=False)
+        monkeypatch.setattr(closed_form, name, counted(name))
+        monkeypatch.setattr(verify, name, getattr(closed_form, name), raising=False)
     monkeypatch.setattr(closed_form.BClass, "from_element", classmethod(refuse))
-    rep = run_verification(17, 3)
-    assert rep.passed and any(c.id == "lemma9" for c in rep.lemma_checks)
+    for p, m in fields:
+        calls.update(lemma9_B=0, lemma_Nb_predicted=0)
+        rep = run_verification(p, m)
+        assert rep.passed and any(c.id == "lemma9" for c in rep.lemma_checks)
+        assert 0 < min(calls.values()) and max(calls.values()) <= 36, (p, m, calls)
 
 
 def test_lemma_checks_read_like_the_list_of_their_rows():

@@ -43,7 +43,7 @@ def _cap(text: str) -> int:
 def _load_config(path: str) -> dict[str, str]:
     cfg = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not part of a key
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):

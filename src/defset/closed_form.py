@@ -56,9 +56,13 @@ class BClass:
 
     @classmethod
     def from_element(cls, ctx: FieldCtx, b: int) -> BClass:
-        t2 = int(ctx.trace_x2[b])
-        t1 = int(ctx.trace_table[b])
-        return cls(t2, t1, (t1 * t1 - ctx.m * t2) % ctx.p == 0)
+        t2, t1 = int(ctx.trace_x2[b]), int(ctx.trace_table[b])
+        return cls(t2, t1, disc_of(ctx.p, ctx.m, t2, t1))
+
+
+def disc_of(p: int, m: int, t2, t1):
+    """BClass.disc of the class (t2, t1): whether t1^2 = m * t2 in F_p; ints or arrays."""
+    return (t1 * t1 - m * t2) % p == 0
 
 
 def realized_b_classes(ctx: FieldCtx) -> dict[BClass, int]:
@@ -260,13 +264,13 @@ def lemma_Nb_predicted(p: int, m: int, cls: BClass) -> int:
     return pm2 - legendre(-t2, p) * t
 
 
-def class_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lemma 9's B and the case's N_b lemma at every class, as p x p int64 arrays [t2, t1].
+def class_tables(p: int, m: int) -> np.ndarray:
+    """(lemma 9's B, the case's N_b lemma) of every class (t2, t1), as a p x p x 2 int64 array.
 
     `lemma9_B` and `lemma_Nb_predicted` depend on a class only through its case
     key: t2 = 0, t1 = 0, eta(-t2) and eta(m*t2 - t1^2), with eta from one
     Legendre table of F_p.  Each is evaluated once per realized key, at one
-    cell with that key, and the values are placed by one index.  No field is
+    cell with that key, and the pairs are placed by one index.  No field is
     built and no count is read.
     """
     eta = np.full(p, -1, dtype=np.int64)
@@ -279,13 +283,12 @@ def class_tables(p: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     idx = ((2 * (t2 == 0) + (t1 == 0)) * 3 + eta_t2 + 1) * 3 + eta_d + 1
     cell = np.full(36, -1, dtype=np.int64)
     cell[idx] = np.arange(p * p).reshape(p, p)
-    b_vals, n_vals = np.zeros(36, dtype=np.int64), np.zeros(36, dtype=np.int64)
+    values = np.zeros((36, 2), dtype=np.int64)
     for key in np.flatnonzero(cell >= 0).tolist():
         c2, c1 = divmod(int(cell[key]), p)
-        cls = BClass(c2, c1, (c1 * c1 - m * c2) % p == 0)
-        b_vals[key] = lemma9_B(p, m, cls)
-        n_vals[key] = lemma_Nb_predicted(p, m, cls)
-    return b_vals[idx], n_vals[idx]
+        cls = BClass(c2, c1, disc_of(p, m, c2, c1))
+        values[key] = lemma9_B(p, m, cls), lemma_Nb_predicted(p, m, cls)
+    return values[idx]
 
 
 def lemma16_uc(p: int, m: int, c: int) -> int:

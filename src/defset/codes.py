@@ -248,9 +248,8 @@ class LemmaCheck:
 class ClassChecks:
     """The lemma-9 and N_b checks of every realized (tr b^2, tr b) class, as columns.
 
-    Class k is (t2[k], t1[k]) with smallest element b[k].  It has two rows, in
-    this order: "lemma9" compares b_closed[k] with b_oracle[k], and `nb_id`
-    compares nb_closed[k] with nb_oracle[k]; both have the params
+    Class k is (t2[k], t1[k]) with smallest element b[k]; closed[k] and oracle[k]
+    are its pairs (B, N_b), and entry j is its row with id ids[j] and the params
     {t2, t1, disc, b}.  A row is a LemmaCheck built when it is read.
     """
 
@@ -259,34 +258,33 @@ class ClassChecks:
     t1: np.ndarray
     disc: np.ndarray
     b: np.ndarray
-    b_closed: np.ndarray
-    b_oracle: np.ndarray
-    nb_closed: np.ndarray
-    nb_oracle: np.ndarray
+    closed: np.ndarray
+    oracle: np.ndarray
+
+    @property
+    def match(self) -> np.ndarray:
+        return self.closed == self.oracle
+
+    @property
+    def ids(self) -> tuple[str, str]:
+        return ("lemma9", self.nb_id)
 
     def __len__(self) -> int:
-        return 2 * self.b.size
+        return self.closed.size
 
     def _rows(self, at: np.ndarray):
-        """The rows at positions `at`: row 2k is class k's lemma-9 row, row 2k + 1 its N_b row."""
-        k, is_nb = np.divmod(at, 2)
-        closed = np.where(is_nb, self.nb_closed[k], self.b_closed[k])
-        oracle = np.where(is_nb, self.nb_oracle[k], self.b_oracle[k])
-        for nb_row, t2, t1, disc, b, c, o in zip(*(col.tolist() for col in (
-                is_nb, self.t2[k], self.t1[k], self.disc[k], self.b[k], closed, oracle))):
-            yield LemmaCheck(self.nb_id if nb_row else "lemma9",
-                             {"t2": t2, "t1": t1, "disc": disc, "b": b}, c, o, c == o)
+        """The rows at positions `at`: row 2k + j is entry j of class k."""
+        k, j = np.divmod(at, 2)
+        for entry, t2, t1, disc, b, c, o, ok in zip(*(col.tolist() for col in (
+                j, self.t2[k], self.t1[k], self.disc[k], self.b[k],
+                self.closed[k, j], self.oracle[k, j], self.match[k, j]))):
+            yield LemmaCheck(self.ids[entry], {"t2": t2, "t1": t1, "disc": disc, "b": b}, c, o, ok)
 
     def __iter__(self):
         return self._rows(np.arange(len(self)))
 
-    def all_match(self) -> bool:
-        return (np.array_equal(self.b_closed, self.b_oracle)
-                and np.array_equal(self.nb_closed, self.nb_oracle))
-
     def mismatches(self) -> list[LemmaCheck]:
-        bad = np.column_stack([self.b_closed != self.b_oracle, self.nb_closed != self.nb_oracle])
-        return list(self._rows(np.flatnonzero(bad)))
+        return list(self._rows(np.flatnonzero(~self.match)))
 
 
 class LemmaChecks:
@@ -312,7 +310,7 @@ class LemmaChecks:
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def all_match(self) -> bool:
-        return all(part.all_match() if isinstance(part, ClassChecks) else
+        return all(part.match.all() if isinstance(part, ClassChecks) else
                    all(c.match for c in part) for part in self.parts)
 
     def mismatches(self) -> list[LemmaCheck]:

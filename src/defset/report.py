@@ -114,22 +114,21 @@ _CLASS_ROW = """{
   "oracle": %d,
   "match": %s
 }"""
+# disc and match as JSON writes a bool; an object array lists the same two strings
+_JSON_BOOL = np.array(["false", "true"], dtype=object)
 
 
 def _class_block(cc: ClassChecks, indent: str) -> str:
     """The rows of cc as json.dumps(indent=2) writes them in a list at this indent,
-    with the first line not indented: one %-format of a two-row template."""
-    pair = ",\n".join(_CLASS_ROW.replace("<id>", row_id) for row_id in ("lemma9", cc.nb_id))
-    pair = pair.replace("\n", "\n" + indent)
-    t2, t1, b, b_closed, b_oracle, nb_closed, nb_oracle = (
-        col.tolist() for col in (cc.t2, cc.t1, cc.b, cc.b_closed, cc.b_oracle,
-                                 cc.nb_closed, cc.nb_oracle))
-    disc, b_match, nb_match = (np.where(col, "true", "false").tolist() for col in (
-        cc.disc, cc.b_closed == cc.b_oracle, cc.nb_closed == cc.nb_oracle))
-    values = itertools.chain.from_iterable(zip(
-        t2, t1, disc, b, b_closed, b_oracle, b_match,
-        t2, t1, disc, b, nb_closed, nb_oracle, nb_match))
-    return ((pair + ",\n" + indent) * (len(b) - 1) + pair) % tuple(values)
+    with the first line not indented: one %-format of a class's rows, entry 0 then
+    entry 1 of its pairs, repeated; a class's params are listed once for both."""
+    pair = ",\n".join(_CLASS_ROW.replace("<id>", i) for i in cc.ids).replace("\n", "\n" + indent)
+    disc, match = (_JSON_BOOL[col.astype(np.int8)] for col in (cc.disc, cc.match))
+    params = [col.tolist() for col in (cc.t2, cc.t1, disc, cc.b)]
+    rows = [[*params, *(col[:, j].tolist() for col in (cc.closed, cc.oracle, match))]
+            for j in range(len(cc.ids))]
+    values = itertools.chain.from_iterable(zip(*itertools.chain.from_iterable(rows)))
+    return ((pair + ",\n" + indent) * (len(cc.b) - 1) + pair) % tuple(values)
 
 
 def reports_json(reports: list[VerifyReport], single: bool, include_runtime: bool) -> str:

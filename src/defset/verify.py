@@ -13,7 +13,7 @@ from .codes import (ClassChecks, LemmaCheck, LemmaChecks, VerifyReport, defining
                     distribution_from_Nb, dual_distance_two, power_moment_check,
                     secret_sharing_ratio, transform_Nc)
 from .closed_form import (ORACLES, CaseTag, THEOREM_NUMBER, class_tables, classify,
-                          first_of_each_class, lemma8_value, lemma9_from_counts,
+                          disc_of, first_of_each_class, lemma8_value, lemma9_from_counts,
                           lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
                           predicted_distribution)
 from .cyclotomic import CycInt, embed_complex, gauss_closed, gauss_sum_exact
@@ -62,7 +62,6 @@ def run_lemma_suite(ctx, nc) -> LemmaChecks:
         return LemmaCheck(check_id, params, closed, brute, closed == brute)
 
     lemma8 = [check("lemma8", {}, lemma8_value(p, m), ORACLES["lemma8"](ctx))]
-    b_table, nb_table = class_tables(p, m)
     # every realized class (t2, t1) in ascending order, with its smallest b
     first = first_of_each_class(ctx)
     keys = np.flatnonzero(first < ctx.q)
@@ -71,9 +70,9 @@ def run_lemma_suite(ctx, nc) -> LemmaChecks:
     nb = nc[ctx.trace_dual(reps)]
     # tr(b*x) = 0 on q/p elements for b != 0, so the lemma-9 and N_b
     # checks of a class both compare the one count N_b
-    classes = ClassChecks(_NB_LEMMA_ID[classify(p, m)], t2, t1, (t1 * t1 - m * t2) % p == 0,
-                          reps, b_table[t2, t1], lemma9_from_counts(p, ctx.q, nb, n0, ctx.q // p),
-                          nb_table[t2, t1], nb)
+    oracle = np.stack([lemma9_from_counts(p, ctx.q, nb, n0, ctx.q // p), nb], axis=1)
+    classes = ClassChecks(_NB_LEMMA_ID[classify(p, m)], t2, t1, disc_of(p, m, t2, t1),
+                          reps, class_tables(p, m)[t2, t1], oracle)
     rest = [check("lemma10", {"a": a}, lemma10_N0a(p, m, a), ORACLES["lemma10"](ctx, a=a))
             for a in range(p)]
     rest.append(check("lemma11", {}, list(lemma11_counts(p, m)), list(ORACLES["lemma11"](ctx))))

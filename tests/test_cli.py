@@ -585,8 +585,7 @@ def off_by_one_nb_table(monkeypatch):
     real = verify.class_tables
 
     def corrupted(p, m):
-        b_table, nb_table = real(p, m)
-        return b_table, nb_table + 1
+        return real(p, m) + [0, 1]  # N_b is entry 1 of each class's pair
 
     monkeypatch.setattr(verify, "class_tables", corrupted)
 
@@ -690,14 +689,14 @@ def assert_only_trace_forms(ctx):
                       "trace_pair_counts"}
 
 
-def test_gauss_and_dual_leave_log_tables_unbuilt():
+def test_gauss_and_dual_leave_only_trace_forms_on_the_field():
     ctx = FieldCtx(3, 8)
     assert all(c.match for c in gauss_checks(ctx)[2])
     assert dual_distance_two(defining_set(ctx))
     assert_only_trace_forms(ctx)
 
 
-def test_verify_leaves_log_tables_unbuilt():
+def test_verify_leaves_only_trace_forms_on_the_field():
     field.cache_clear()
     assert run_verification(3, 4).passed
     assert_only_trace_forms(field(3, 4))
@@ -731,6 +730,14 @@ def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--config", str(cfg))
     assert (code, out) == (EXIT_USAGE, "")
     assert len(err.splitlines()) == 1 and str(cfg) in err and "UTF-8" in err
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("\ufeffp=3\nm=4\n", encoding="utf-8")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbfp=3")
+    via_flags = run(capsys, "predict", "--p", "3", "--m", "4")
+    assert via_flags[0] == EXIT_OK and run(capsys, "predict", "--config", str(cfg)) == via_flags
 
 
 def test_out_file(tmp_path, capsys):

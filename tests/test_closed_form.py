@@ -297,12 +297,12 @@ def test_class_tables_equal_the_scalar_forms_at_every_cell():
     pairs = [(p, m) for p in range(3, 60) if is_prime(p) for m in range(2, 10)]
     assert {(3, 3), (3, 6), (3, 9), (5, 5), (7, 7)} <= {(p, m) for p, m in pairs if m % p == 0}
     for p, m in pairs:
-        b_table, nb_table = (t.tolist() for t in class_tables(p, m))
+        table = class_tables(p, m).tolist()
         for t2 in range(p):
             for t1 in range(p):
                 cls = BClass(t2, t1, (t1 * t1 - m * t2) % p == 0)
-                assert b_table[t2][t1] == lemma9_B(p, m, cls), (p, m, cls)
-                assert nb_table[t2][t1] == lemma_Nb_predicted(p, m, cls), (p, m, cls)
+                assert table[t2][t1] == [lemma9_B(p, m, cls),
+                                         lemma_Nb_predicted(p, m, cls)], (p, m, cls)
 
 
 @pytest.mark.parametrize("p", [61, 67, 509, 1019, 1097])
@@ -311,15 +311,16 @@ def test_class_tables_equal_the_scalar_forms_at_sampled_cells(p):
     # discriminant curve t1^2 = m*t2 and random cells
     rng = random.Random(p)
     for m in range(2, 6):
-        b_table, nb_table = class_tables(p, m)
+        table = class_tables(p, m)
+        assert table.shape == (p, p, 2) and table.dtype == np.int64
         rs = rng.sample(range(1, p), 12)
         cells = [(0, 0)] + [(0, r) for r in rs] + [(r, 0) for r in rs]
         cells += [(r * r * pow(m, -1, p) % p, r) for r in rs]
         cells += [(rng.randrange(p), rng.randrange(p)) for _ in range(60)]
         for t2, t1 in cells:
             cls = BClass(t2, t1, (t1 * t1 - m * t2) % p == 0)
-            assert b_table[t2, t1] == lemma9_B(p, m, cls), (p, m, cls)
-            assert nb_table[t2, t1] == lemma_Nb_predicted(p, m, cls), (p, m, cls)
+            assert table[t2, t1].tolist() == [lemma9_B(p, m, cls),
+                                              lemma_Nb_predicted(p, m, cls)], (p, m, cls)
 
 
 def test_lemma16_examples_and_oracle():
@@ -459,7 +460,7 @@ def _off_class(ctx, nc):
     """The c != 0 where N_c or the lemma-9 value read from it is not the closed
     value of the class of b = Q^-1 c."""
     p, q = ctx.p, ctx.q
-    b_table, nb_table = class_tables(p, ctx.m)
+    b_table, nb_table = np.moveaxis(class_tables(p, ctx.m), 2, 0)
     key = _class_of_c(ctx)[1:]
     nb = nc[1:]
     b_oracle = lemma9_from_counts(p, q, nb, int(nc[0]), q // p)
@@ -490,7 +491,7 @@ def test_every_b_check_sees_a_swap_the_distribution_and_the_suite_miss():
     ctx = field(p, m)
     ds = defining_set(ctx)
     nc = transform_Nc(ds)
-    nb_table = class_tables(p, m)[1].ravel()
+    nb_table = class_tables(p, m)[..., 1].ravel()
     key = _class_of_c(ctx)
     reps = set(ctx.trace_dual(list(realized_b_classes(ctx).values())).tolist())
     others = [c for c in range(1, ctx.q) if c not in reps]

@@ -17,16 +17,28 @@ from .errors import EmptyDistribution, FieldTooLarge
 from .fields import FieldCtx, is_prime
 
 
-@dataclass(frozen=True, eq=False)
 class DefiningSet:
-    """D with its coordinates fixed in ascending canonical-index order."""
+    """D with its coordinates fixed in ascending canonical-index order.
 
-    ctx: FieldCtx
-    elements: np.ndarray
+    DefiningSet(ctx) is D of ctx: n = |D| is counted on the tr(x^2 + x) table,
+    and `elements`, D's index array, is built on first read.  Only `build`'s
+    export, `dimension`, `trace_basis` and the brute-force reference read it,
+    so `verify` lists no D.  DefiningSet(ctx, elements) takes a given index array.
+    """
 
-    @property
-    def n(self) -> int:
-        return int(self.elements.size)
+    def __init__(self, ctx: FieldCtx, elements: np.ndarray | None = None):
+        self.ctx = ctx
+        if elements is None:
+            # x = 0 is always in D0 = {x : tr(x^2 + x) = 0}, and D is D0 without it
+            self.n = int(np.count_nonzero(ctx.trace_x2_plus_x == 0)) - 1
+        else:
+            self.elements = elements
+            self.n = int(elements.size)
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        # flatnonzero lists D0 in int64, and x = 0 is its first index
+        return np.flatnonzero(self.ctx.trace_x2_plus_x == 0)[1:]
 
     @property
     def n0(self) -> int:
@@ -65,9 +77,8 @@ class DefiningSet:
 
 
 def defining_set(ctx: FieldCtx) -> DefiningSet:
-    s = ctx.trace_x2_plus_x
-    idx = np.flatnonzero(s == 0).astype(np.int64)
-    return DefiningSet(ctx, idx[idx != 0])
+    """D of ctx as a count; its index array is built when `elements` is first read."""
+    return DefiningSet(ctx)
 
 
 def codeword(ds: DefiningSet, b: int) -> np.ndarray:

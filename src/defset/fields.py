@@ -185,6 +185,18 @@ def _form_bound(p: int, m: int) -> int:
     return m * (p - 1) ** 2 + m * m * (p - 1) ** 3
 
 
+_COUNT_BLOCK = 2 ** 16  # `_bincount` counts a table up to this long in one call
+
+
+def _bincount(values: np.ndarray, size: int) -> np.ndarray:
+    """np.bincount(values, minlength=size) for values in [0, size), summed over slices of
+    max(2^16, size) elements: bincount counts an int64 copy of its input, so the
+    copy is one slice long, not a table long."""
+    block = max(_COUNT_BLOCK, size)
+    return sum(np.bincount(values[start:start + block], minlength=size)
+               for start in range(0, values.size, block))
+
+
 def _check_size(p: int, m: int, max_q: int) -> int:
     """q = p^m, after checking that m >= 1, p is an odd prime and q <= max_q.
 
@@ -352,8 +364,9 @@ class FieldCtx:
 
     @cached_property
     def trace_x2_counts(self) -> np.ndarray:
-        """u[c] = |{x : tr(x^2) = c}| for every c in F_p."""
-        return np.bincount(self.trace_x2, minlength=self.p)
+        """u[c] = |{x : tr(x^2) = c}| for every c in F_p, counted in blocks (`_bincount`),
+        so no q-long int64 copy of tr(x^2) is made."""
+        return _bincount(self.trace_x2, self.p)
 
     @cached_property
     def trace_x2_plus_x(self) -> np.ndarray:
@@ -363,10 +376,11 @@ class FieldCtx:
 
     @cached_property
     def trace_pair_counts(self) -> np.ndarray:
-        """H[s, t] = |{x : tr(x^2) = s, tr(x) = t}|, for m >= 2, where its p^2 cells are <= q."""
+        """H[s, t] = |{x : tr(x^2) = s, tr(x) = t}|, for m >= 2, where its p^2 cells are <= q;
+        counted in blocks (`_bincount`), so no q-long int64 copy of the key is made."""
         if self.m < 2:
             raise CaseMismatch(f"the (tr x^2, tr x) table needs m >= 2, got m={self.m}")
-        return np.bincount(self.trace_pair_key, minlength=self.p ** 2).reshape(self.p, self.p)
+        return _bincount(self.trace_pair_key, self.p ** 2).reshape(self.p, self.p)
 
     @cached_property
     def trace_pair_key(self) -> np.ndarray:

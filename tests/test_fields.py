@@ -2,15 +2,16 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from defset.closed_form import first_of_each_class
 from defset.errors import DegreeTooSmall, FieldTooLarge, NotOddPrime
-from defset.fields import (DEFAULT_MAX_Q, MR_BOUND, FieldCtx, _check_size, _poly_gcd, _poly_sub,
-                           _powmod, field, irreducible_polys, is_irreducible, is_prime, legendre,
-                           require_odd_prime)
+from defset.fields import (_COUNT_BLOCK, DEFAULT_MAX_Q, MR_BOUND, FieldCtx, _bincount,
+                           _check_size, _poly_gcd, _poly_sub, _powmod, field, irreducible_polys,
+                           is_irreducible, is_prime, legendre, require_odd_prime)
 
 
 def test_build_field_m1_modulus_is_x():
@@ -270,6 +271,33 @@ def test_trace_pair_counts_match_direct_count():
             want[_frobenius_trace(ctx, ctx.square(x)), _frobenius_trace(ctx, x)] += 1
         assert np.array_equal(ctx.trace_pair_counts, want), ctx
         assert ctx.trace_pair_counts.sum() == ctx.q
+
+
+@pytest.mark.parametrize("length", [_COUNT_BLOCK - 1, _COUNT_BLOCK, _COUNT_BLOCK + 1,
+                                    3 * _COUNT_BLOCK + 5])
+def test_bincount_in_blocks_matches_one_bincount(length):
+    # 263^2 > 2^16: a histogram longer than the block is counted in slices of its own size
+    rng = np.random.default_rng(length)
+    for size, dtype in [(3, np.int16), (263 ** 2, np.int32)]:
+        values = rng.integers(0, size, length).astype(dtype)
+        counts = _bincount(values, size)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.bincount(values, minlength=size)), size
+
+
+def test_table_counts_copy_one_block_not_the_table():
+    # q = 3^11 > 2^17: one bincount of a whole table would copy it as 8q bytes of int64
+    ctx = FieldCtx(3, 11, max_q=3 ** 11)
+    assert ctx.trace_x2.size == ctx.trace_pair_key.size == ctx.q  # the tables, built first
+    tracemalloc.start()
+    try:
+        u, h = ctx.trace_x2_counts, ctx.trace_pair_counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _COUNT_BLOCK + 2 ** 15 < 8 * ctx.q // 2, peak
+    assert u.sum() == h.sum() == ctx.q
+    assert np.array_equal(u, h.sum(axis=1))
 
 
 def _digit_matrix(ctx):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from defset import cli, closed_form, verify
+from defset import cli, closed_form, codes, report, verify
 from defset.closed_form import ORACLES, THEOREM_NUMBER, classify, realized_b_classes
 from defset.codes import count_Nb, defining_set, transform_Nc
 from defset.fields import DEFAULT_MAX_Q, field
@@ -136,3 +136,18 @@ def test_lemma_checks_read_like_the_list_of_their_rows():
     empty = run_verification(7, 3, checks=("distribution",)).lemma_checks
     assert not empty and len(empty) == 0 and empty == [] and [] == empty
     assert list(empty) == [] and empty.all_match() and empty.mismatches() == []
+
+
+def test_verify_lists_no_defining_set(monkeypatch):
+    # verify reads |D| and |D0| as counts: reading or setting D's element array raises, and
+    # every check family on every grid entry gives the same verdict and report bytes
+    entries = README_GRID + [(3, 2), (13, 2)]
+    before = [run_verification(p, m) for p, m in entries]
+
+    def listed(ds, *value):
+        raise AssertionError("run_verification built D's element array")
+
+    monkeypatch.setattr(codes.DefiningSet, "elements", property(listed, listed), raising=False)
+    after = [run_verification(p, m) for p, m in entries]
+    assert [rep.passed for rep in after] == [rep.passed for rep in before]
+    assert report.reports_json(after, False, False) == report.reports_json(before, False, False)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .codes import WeightDistribution
 from .errors import CaseMismatch, NonIntegralTableEntry
-from .fields import FieldCtx, field, legendre, require_odd_prime
+from .fields import _COUNT_BLOCK, FieldCtx, field, legendre, require_odd_prime
 
 
 class CaseTag(enum.Enum):
@@ -81,10 +81,13 @@ def realized_b_classes(ctx: FieldCtx) -> dict[BClass, int]:
 
 def first_of_each_class(ctx: FieldCtx) -> np.ndarray:
     """first[t2*p + t1] = the smallest b != 0 with tr(b^2) = t2 and tr(b) = t1, or q
-    if there is none; for m >= 2, where the p^2 cells are at most q."""
+    if there is none; for m >= 2, where the p^2 cells are at most q.  The key is scanned
+    in slices of 2^16, so the int64 indices beside it are one slice long, not q."""
     p, q = ctx.p, ctx.q
     first = np.full(p * p, q, dtype=np.int64)
-    np.minimum.at(first, ctx.trace_pair_key[1:], np.arange(1, q))
+    for start in range(1, q, _COUNT_BLOCK):
+        stop = min(start + _COUNT_BLOCK, q)
+        np.minimum.at(first, ctx.trace_pair_key[start:stop], np.arange(start, stop))
     return first
 
 

@@ -86,28 +86,6 @@ def _rem(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
     return _trim(a)
 
 
-def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _rem(out, f, p)
-
-
-def _powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    base = _rem([c % p for c in a], f, p)
-    while e:
-        if e & 1:
-            result = _mulmod(result, base, f, p)
-        base = _mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
 def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     a = _trim([c % p for c in a])
     b = _trim([c % p for c in b])
@@ -131,15 +109,19 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     i <= m/2, since a reducible f has an irreducible factor of degree i <= m/2,
     which divides x^(p^i) - x.  The test stops at the smallest such i.  At
     i = 1 the gcd is 1 iff f has no root in F_p, which is much cheaper to test.
+    Over F_p, g(x)^p = g(x^p): x^(p^i) is x^(p^(i-1)) spread p apart, reduced mod f.
     """
     f = _trim([c % p for c in coeffs])
     if len(f) < 2 or f[-1] != 1 or (len(f) > 2 and _has_root(f, p)):
         return False
-    x = [0, 1]
-    frob = _powmod(x, p, f, p)
-    for _ in range(2, (len(f) - 1) // 2 + 1):
-        frob = _powmod(frob, p, f, p)
-        if len(_poly_gcd(_poly_sub(frob, x, p), f, p)) != 1:
+    if len(f) < 5:  # a reducible f of degree m <= 3 has a linear factor, so a root
+        return True
+    x = frob = [0, 1]
+    for i in range(1, (len(f) - 1) // 2 + 1):
+        spread = [0] * ((len(frob) - 1) * p + 1)
+        spread[::p] = frob
+        frob = _rem(spread, f, p)
+        if i > 1 and len(_poly_gcd(_poly_sub(frob, x, p), f, p)) != 1:
             return False
     return True
 
@@ -165,6 +147,17 @@ def irreducible_polys(p: int, m: int) -> Iterator[list[int]]:
         coeffs = [(k // p ** i) % p for i in range(m)] + [1]
         if is_irreducible(coeffs, p):
             yield coeffs
+
+
+def _power_sums(f: Sequence[int], p: int) -> list[int]:
+    """t_k = tr(alpha^k) for k < 2m - 1, alpha a root of the monic irreducible f of degree
+    m: the power sums of f's roots, by Newton's identities (Lidl & Niederreiter, ch. 1)."""
+    m = len(f) - 1
+    t = [m % p]
+    for k in range(1, 2 * m - 1):
+        acc = sum(f[m - j] * t[k - j] for j in range(1, min(k, m + 1)))
+        t.append(-(acc + (k * f[m - k] if k <= m else 0)) % p)
+    return t
 
 
 def _mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -223,8 +216,8 @@ class FieldCtx:
     """A concrete realization of F_(p^m).
 
     The checks read the field through forms on the digit vector of an index.
-    With t_k = tr(alpha^k), the trace of the k-th power of the modulus's
-    companion matrix, tr(x) = sum x_i t_i, tr(x^2) is the quadratic form with
+    With t_k = tr(alpha^k), the k-th power sum of the modulus's roots
+    (`_power_sums`), tr(x) = sum x_i t_i, tr(x^2) is the quadratic form with
     Q_ij = t_(i+j), and tr(b*x) is bilinear in the digits of b and x.  Every
     per-element table is one such form, built on the (p,)^m digit grid one
     digit at a time (`_grid_form`), so no q x m table of digits exists.  The
@@ -255,19 +248,23 @@ class FieldCtx:
         self._work = _int_type(_form_bound(p, m))
         self._pows = p ** np.arange(m, dtype=np.int64)
 
-        # multiplication by alpha on coefficient vectors, and its powers C^k, k < 2m-1
-        comp = np.eye(m, k=-1, dtype=np.int64)
-        comp[:, -1] = np.negative(self.modulus[:m]) % p
-        comp_pows = [np.eye(m, dtype=np.int64)]
-        for _ in range(2 * m - 2):
-            comp_pows.append(comp @ comp_pows[-1] % p)
-        self._comp_pows = np.stack(comp_pows[:m])
-        t = np.array([np.trace(c) % p for c in comp_pows], dtype=np.int64)
+        t = np.array(_power_sums(self.modulus, p), dtype=np.int64)
         self._trace_form = t[np.add.outer(np.arange(m), np.arange(m))]
 
         self.trace_table = self._grid_form(t[:m])
         assert self.trace_table[0] == 0
         assert self.trace_table[1] == m % p
+
+    @cached_property
+    def _comp_pows(self) -> np.ndarray:
+        """C^k for k < m, C the companion matrix (multiplication by alpha on digit
+        vectors), built on the first multiplication: the trace forms need none of it."""
+        comp = np.eye(self.m, k=-1, dtype=np.int64)
+        comp[:, -1] = np.negative(self.modulus[:-1]) % self.p
+        pows = [np.eye(self.m, dtype=np.int64)]
+        for _ in range(self.m - 1):
+            pows.append(comp @ pows[-1] % self.p)
+        return np.stack(pows)
 
     # -- digit forms ------------------------------------------------------------
 

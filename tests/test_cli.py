@@ -14,7 +14,8 @@ from defset import cli, cyclotomic, fields, verify
 from defset.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from defset.closed_form import (PredictedDistribution, classify, first_of_each_class,
                                 predicted_distribution)
-from defset.codes import LemmaCheck, defining_set, dual_distance_two
+from defset.codes import (LemmaCheck, brute_weight_distribution, defining_set,
+                          distribution_from_Nb, dual_distance_two, transform_Nc)
 from defset.fields import FieldCtx, field
 from defset.verify import gauss_checks, run_verification
 
@@ -681,12 +682,22 @@ def test_verify_text_builds_only_the_mismatched_class_rows(capsys, monkeypatch, 
 
 def assert_only_trace_forms(ctx):
     # no multiplicative table: every array on the field is a trace form or a histogram
-    # of one, or the digit place values and companion-matrix powers the forms are built from
+    # of one, or the digit place values the forms are built from; the companion-matrix
+    # powers are built only by what multiplies
     arrays = {k for k, v in vars(ctx).items() if isinstance(v, np.ndarray)}
     assert {"trace_table", "trace_x2", "trace_x2_plus_x"} <= arrays
-    assert arrays <= {"_pows", "_comp_pows", "_trace_form", "trace_table", "trace_x2",
+    assert arrays <= {"_pows", "_trace_form", "trace_table", "trace_x2",
                       "trace_x2_plus_x", "trace_x2_counts", "trace_pair_key",
                       "trace_pair_counts"}
+    # built afterwards, they agree with the trace forms
+    xs = range(0, ctx.q, -(-ctx.q // 256))
+    assert [ctx.trace(ctx.mul(x, x)) for x in xs] == ctx.trace_x2[xs].tolist()
+    assert [ctx.trace(ctx.mul(ctx.p, x)) for x in xs] == ctx.trace_mul_all(ctx.p)[xs].tolist()
+    assert np.array_equal(ctx.trace_table[ctx.basis_multiples(np.arange(ctx.q))],
+                          [ctx.trace_mul_all(ctx.p ** i) for i in range(ctx.m)])
+    ds = defining_set(ctx)
+    assert brute_weight_distribution(ds) == distribution_from_Nb(ds, transform_Nc(ds))
+    assert "_comp_pows" in vars(ctx)
 
 
 def test_gauss_and_dual_leave_only_trace_forms_on_the_field():

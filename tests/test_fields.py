@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import pytest
 from defset.closed_form import first_of_each_class
 from defset.errors import DegreeTooSmall, FieldTooLarge, NotOddPrime
 from defset.fields import (_COUNT_BLOCK, DEFAULT_MAX_Q, MR_BOUND, FieldCtx, _bincount,
-                           _check_size, _poly_gcd, _poly_sub, _powmod, field, irreducible_polys,
-                           is_irreducible, is_prime, legendre, require_odd_prime)
+                           _check_size, _poly_gcd, _poly_sub, _power_sums, _rem, field,
+                           irreducible_polys, is_irreducible, is_prime, legendre,
+                           require_odd_prime)
 
 
 def test_build_field_m1_modulus_is_x():
@@ -26,9 +28,33 @@ def test_build_field_f9_modulus():
     assert list(ctx.modulus) == [1, 0, 1]
 
 
+def _mulmod(a, b, f, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _rem(out, f, p)
+
+
+def _powmod(a, e, f, p):
+    """a^e mod f by square-and-multiply."""
+    result, base = [1], _rem(a, f, p)
+    while e:
+        if e & 1:
+            result = _mulmod(result, base, f, p)
+        base = _mulmod(base, base, f, p)
+        e >>= 1
+    return result
+
+
+# every odd p and m >= 1 with p^m under the default cap
+CAPPED_FIELDS = [(p, m) for p in range(3, DEFAULT_MAX_Q + 1) if is_prime(p)
+                 for m in range(1, 10) if p ** m <= DEFAULT_MAX_Q]
+
+
 def test_root_filter_keeps_canonical_modulus():
     # the first monic irreducible under a scan with Ben-Or's gcd steps from i = 1,
-    # with no root test, for every odd p and m >= 1 with p^m under the default cap
+    # with no root test and x^(p^i) by square-and-multiply, for every capped field
     def plain_ben_or(f, p):
         x = frob = [0, 1]
         for _ in range((len(f) - 1) // 2):
@@ -43,11 +69,23 @@ def test_root_filter_keeps_canonical_modulus():
             if plain_ben_or(coeffs, p):
                 return coeffs
 
-    fields = [(p, m) for p in range(3, DEFAULT_MAX_Q + 1) if is_prime(p)
-              for m in range(1, 10) if p ** m <= DEFAULT_MAX_Q]
-    assert (3, 9) in fields and (19997, 1) in fields
-    for p, m in fields:
+    assert (3, 9) in CAPPED_FIELDS and (19997, 1) in CAPPED_FIELDS
+    for p, m in CAPPED_FIELDS:
         assert next(irreducible_polys(p, m)) == plain_scan(p, m), (p, m)
+
+
+def test_power_sums_are_companion_matrix_traces():
+    # t_k = tr(alpha^k) by Newton's identities against np.trace(C^k) mod p, C the
+    # companion matrix, for k < 2m - 1, under the first two moduli of every capped field
+    for p, m in CAPPED_FIELDS:
+        for f in itertools.islice(irreducible_polys(p, m), 2):
+            comp = np.eye(m, k=-1, dtype=np.int64)
+            comp[:, -1] = np.negative(f[:m]) % p
+            power, want = np.eye(m, dtype=np.int64), []
+            for _ in range(2 * m - 1):
+                want.append(int(np.trace(power)) % p)
+                power = comp @ power % p
+            assert _power_sums(f, p) == want, (p, m, f)
 
 
 def _monic_polys(p, d):
@@ -78,7 +116,8 @@ def _mobius(n):
     return out
 
 
-@pytest.mark.parametrize("p,m", [(3, 4), (3, 5), (3, 6), (5, 3), (5, 4), (7, 3)])
+@pytest.mark.parametrize("p,m", [(3, 4), (3, 5), (3, 6), (5, 3), (5, 4), (5, 5), (7, 3),
+                                 (7, 4)])
 def test_is_irreducible_matches_trial_division(p, m):
     # a reducible f of degree m has a monic factor of degree at most m/2
     count = 0
@@ -298,6 +337,28 @@ def test_table_counts_copy_one_block_not_the_table():
     assert peak < 8 * _COUNT_BLOCK + 2 ** 15 < 8 * ctx.q // 2, peak
     assert u.sum() == h.sum() == ctx.q
     assert np.array_equal(u, h.sum(axis=1))
+
+
+def test_class_scan_indexes_one_block_not_the_table():
+    # an int64 index of every b != 0 would be 8q bytes beside the key; ufunc.at
+    # buffers 8192 more int64 indices per slice
+    ctx = FieldCtx(3, 11, max_q=3 ** 11)
+    assert ctx.trace_pair_key.size == ctx.q  # the key, built first
+    tracemalloc.start()
+    try:
+        first = first_of_each_class(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _COUNT_BLOCK + 2 ** 17 < 8 * ctx.q // 2, peak
+    want = np.full(ctx.p ** 2, ctx.q)
+    np.minimum.at(want, ctx.trace_pair_key[1:], np.arange(1, ctx.q))
+    assert np.array_equal(first, want)
+    # each b != 0 alone in its class, past one slice: a b the slices skip or misplace shows
+    q = 263 ** 2
+    key = np.arange(q, dtype=np.int32)
+    first = first_of_each_class(SimpleNamespace(p=263, q=q, trace_pair_key=key))
+    assert first[0] == q and np.array_equal(first[1:], key[1:])
 
 
 def _digit_matrix(ctx):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import WeightDistribution
+from .codes import DefiningSet, WeightDistribution
 from .errors import CaseMismatch, NonIntegralTableEntry
 from .fields import _COUNT_BLOCK, FieldCtx, field, legendre, require_odd_prime
 
@@ -416,8 +416,7 @@ def predicted_distribution(p: int, m: int) -> PredictedDistribution:
 
 def _oracle_lemma8(ctx: FieldCtx) -> int:
     # sum_x (p*[tr(x^2 + x) = 0] - 1) = p*n0 - q
-    n0 = int(np.count_nonzero(ctx.trace_x2_plus_x == 0))
-    return ctx.p * n0 - ctx.q
+    return ctx.p * DefiningSet(ctx).n0 - ctx.q
 
 
 def lemma9_from_counts(p: int, q: int, nb: int, n0: int, zb: int) -> int:
@@ -437,7 +436,7 @@ def _oracle_lemma9(ctx: FieldCtx, b: int) -> int:
 def _oracle_lemma12(ctx: FieldCtx) -> int:
     t = np.arange(1, ctx.p)
     s = np.arange(ctx.p)[:, None]
-    return int(ctx.trace_pair_counts[:, 1:][(t * t - ctx.m * s) % ctx.p == 0].sum())
+    return int(ctx.trace_pair_counts[:, 1:][disc_of(ctx.p, ctx.m, s, t)].sum())
 
 
 def _oracle_lemma16(ctx: FieldCtx, c: int) -> int:

@@ -65,8 +65,8 @@ def legendre(a: int, p: int) -> int:
 
 
 # --- polynomial arithmetic over F_p -----------------------------------------
-# Polynomials are lists of ints in [0, p), constant term first, no trailing
-# zeros; [] is the zero polynomial.  Moduli are monic.
+# Polynomials are lists of ints in [0, p), constant term first, no trailing zeros ([] is 0).
+# Helpers take and return such lists; only `is_irreducible` and `FieldCtx(modulus=...)` reduce.
 
 def _trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
@@ -77,8 +77,9 @@ def _trim(f: list[int]) -> list[int]:
 def _rem(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
     a = list(a)
     deg = len(f) - 1
+    inv_lead = pow(f[-1], -1, p)  # f need not be monic
     for i in range(len(a) - 1, deg - 1, -1):
-        c = a[i]
+        c = a[i] * inv_lead % p
         if c:
             a[i] = 0
             for j in range(deg):
@@ -87,12 +88,8 @@ def _rem(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
 
 
 def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a = _trim([c % p for c in a])
-    b = _trim([c % p for c in b])
     while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        monic = [c * inv_lead % p for c in b]
-        a, b = b, _rem(a, monic, p)
+        a, b = b, _rem(a, b, p)
     return a
 
 

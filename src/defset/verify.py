@@ -118,11 +118,12 @@ def run_verification(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q,
     ds = defining_set(ctx)
     tag = classify(p, m)
     pred = predicted_distribution(p, m)
+    pred_dist = pred.with_zero_word()
 
     need_dist = bool({"distribution", "moments", "ss-ratio"} & set(checks))
     nc = transform_Nc(ds) if need_dist or "lemmas" in checks else None
     dist = distribution_from_Nb(ds, nc) if need_dist else None
-    match = (dist == pred.with_zero_word() and ds.n == pred.n) if dist else None
+    match = (dist == pred_dist and ds.n == pred.n) if dist else None
     moments = power_moment_check(dist, p, m, ds.n) if dist else None
     dual = dual_distance_two(ds) if "dual" in checks else None
     ss = secret_sharing_ratio(dist, p) if dist else None
@@ -141,7 +142,7 @@ def run_verification(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q,
         p=p, m=m, case=tag.value, theorem=THEOREM_NUMBER[tag],
         n_bruteforce=ds.n, n_predicted=pred.n,
         distribution_bruteforce=dist,
-        distribution_predicted=pred.with_zero_word(),
+        distribution_predicted=pred_dist,
         match=match, moment_checks=moments, dual_distance_two=dual, ss_ratio=ss,
         lemma_checks=LemmaChecks([*lemmas.parts, gauss]),
         runtime_ms=int((time.perf_counter() - t0) * 1000),

@@ -28,21 +28,49 @@ def test_build_field_f9_modulus():
     assert list(ctx.modulus) == [1, 0, 1]
 
 
-def _mulmod(a, b, f, p):
+def _monic_rem(f, g, p):
+    """f mod the monic g over F_p, by long division (constant term first)."""
+    r = list(f)
+    dg = len(g) - 1
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(dg + 1):
+                r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
+    r = r[:dg]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _monic(a, p):
+    """a divided by its leading coefficient; [] stays []."""
+    inv = pow(a[-1], -1, p) if a else 0
+    return [c * inv % p for c in a]
+
+
+def _euclid_gcd(a, b, p):
+    """The monic gcd of a and b over F_p by Euclid's loop, each divisor made monic."""
+    while b:
+        a, b = b, _monic_rem(a, _monic(b, p), p)
+    return _monic(a, p)
+
+
+def _polymul(a, b, p):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] = (out[i + j] + ai * bj) % p
-    return _rem(out, f, p)
+    return out
 
 
 def _powmod(a, e, f, p):
     """a^e mod f by square-and-multiply."""
-    result, base = [1], _rem(a, f, p)
+    result, base = [1], _monic_rem(a, f, p)
     while e:
         if e & 1:
-            result = _mulmod(result, base, f, p)
-        base = _mulmod(base, base, f, p)
+            result = _monic_rem(_polymul(result, base, p), f, p)
+        base = _monic_rem(_polymul(base, base, p), f, p)
         e >>= 1
     return result
 
@@ -54,12 +82,13 @@ CAPPED_FIELDS = [(p, m) for p in range(3, DEFAULT_MAX_Q + 1) if is_prime(p)
 
 def test_root_filter_keeps_canonical_modulus():
     # the first monic irreducible under a scan with Ben-Or's gcd steps from i = 1,
-    # with no root test and x^(p^i) by square-and-multiply, for every capped field
+    # with no root test, x^(p^i) by square-and-multiply and this file's own division
+    # and gcd, for every capped field
     def plain_ben_or(f, p):
         x = frob = [0, 1]
         for _ in range((len(f) - 1) // 2):
             frob = _powmod(frob, p, f, p)
-            if len(_poly_gcd(_poly_sub(frob, x, p), f, p)) != 1:
+            if len(_euclid_gcd(_poly_sub(frob, x, p), f, p)) != 1:
                 return False
         return True
 
@@ -93,16 +122,54 @@ def _monic_polys(p, d):
         yield [(k // p ** i) % p for i in range(d)] + [1]
 
 
-def _divides(g, f, p):
-    """True iff the monic g divides f over F_p, by long division (constant term first)."""
-    r = list(f)
-    dg = len(g) - 1
-    for i in range(len(r) - 1, dg - 1, -1):
-        c = r[i]
-        if c:
-            for j in range(dg + 1):
-                r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
-    return not any(r[:dg])
+def _random_poly(rng, p, deg, lead=None):
+    """A reduced polynomial of degree deg over F_p (deg < 0: the zero polynomial), with
+    leading coefficient lead, or a random nonzero one."""
+    if deg < 0:
+        return []
+    lead = int(rng.integers(1, p)) if lead is None else lead
+    return rng.integers(0, p, deg).tolist() + [lead]
+
+
+def _is_reduced(r, p):
+    return all(0 <= c < p for c in r) and r[-1:] != [0]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_rem_divides_by_any_leading_coefficient(p):
+    # r = _rem(a, f) for an f whose leading coefficient is not 1: r is reduced, of
+    # degree below deg f, and a - r is a multiple of f (f made monic divides it)
+    rng = np.random.default_rng(p)
+    for _ in range(300):
+        f = _random_poly(rng, p, int(rng.integers(0, 6)), lead=int(rng.integers(2, p)))
+        a = _random_poly(rng, p, int(rng.integers(-1, 12)))
+        r = _rem(a, f, p)
+        assert _is_reduced(r, p) and len(r) < len(f), (a, f, r)
+        assert not _monic_rem(_poly_sub(a, r, p), _monic(f, p), p), (a, f, r)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_poly_gcd_matches_brute_force(p):
+    # _poly_gcd, made monic, is the highest-degree monic polynomial dividing both a and b,
+    # found by enumeration, in both argument orders; a and b share a random factor, so
+    # gcds of every degree up to 4 occur, and either may be the zero polynomial
+    def brute_gcd(a, b):
+        for d in range(min(len(x) for x in (a, b) if x) - 1, -1, -1):
+            for g in _monic_polys(p, d):
+                if not _monic_rem(a, g, p) and not _monic_rem(b, g, p):
+                    return g
+
+    rng = np.random.default_rng(p)
+    for _ in range(150):
+        common = _random_poly(rng, p, int(rng.integers(0, 3)))
+        a, b = (_polymul(common, _random_poly(rng, p, int(rng.integers(-1, 3))), p)
+                for _ in range(2))
+        if not (a or b):
+            continue
+        want = brute_gcd(a, b)
+        for g in (_poly_gcd(a, b, p), _poly_gcd(b, a, p)):
+            assert _is_reduced(g, p) and _monic(g, p) == want, (a, b, g)
+    assert _poly_gcd([], [], p) == []
 
 
 def _mobius(n):
@@ -122,8 +189,8 @@ def test_is_irreducible_matches_trial_division(p, m):
     # a reducible f of degree m has a monic factor of degree at most m/2
     count = 0
     for f in _monic_polys(p, m):
-        want = not any(_divides(g, f, p)
-                       for d in range(1, m // 2 + 1) for g in _monic_polys(p, d))
+        want = all(_monic_rem(f, g, p)
+                   for d in range(1, m // 2 + 1) for g in _monic_polys(p, d))
         assert is_irreducible(f, p) == want, f
         count += want
     # Gauss's count of monic irreducibles of degree m

@@ -6,8 +6,8 @@ closed-form predictions (Gauss-sum constants, counting lemmas, the per-case
 weight tables), and compares the two, exactly.
 """
 
-from .closed_form import (BClass, CaseTag, G_even, GGbar_odd, PredictedDistribution,
-                          classify, lemma8_value, lemma9_B, lemma10_N0a,
+from .closed_form import (BClass, CaseTag, G_even, GGbar_odd, Gbar_squared,
+                          PredictedDistribution, classify, lemma8_value, lemma9_B, lemma10_N0a,
                           lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
                           lemma_Nb_predicted, oracle, predicted_distribution,
                           predicted_length, realized_b_classes)
@@ -27,9 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BClass", "CaseMismatch", "CaseTag", "ClosedGauss", "CycInt", "DEFAULT_MAX_Q",
     "DefSetError", "DefiningSet", "DegreeTooSmall", "EmptyDistribution", "FieldCtx",
-    "FieldTooLarge", "G_even", "GGbar_odd", "NonIntegralTableEntry", "NotOddPrime",
-    "PredictedDistribution", "PrimeMismatch", "VerifyReport", "WeightDistribution",
-    "brute_weight_distribution", "classify", "codeword",
+    "FieldTooLarge", "G_even", "GGbar_odd", "Gbar_squared", "NonIntegralTableEntry",
+    "NotOddPrime", "PredictedDistribution", "PrimeMismatch", "VerifyReport",
+    "WeightDistribution", "brute_weight_distribution", "classify", "codeword",
     "count_Nb", "cyc_root", "defining_set", "distribution_csv", "dual_distance_two",
     "embed_complex", "export_defining_set", "field", "gauss_closed", "gauss_sum_exact",
     "is_irreducible", "legendre", "lemma10_N0a", "lemma11_counts", "lemma12_V",

@@ -17,7 +17,6 @@ import sys
 from .codes import (WeightDistribution, defining_set, distribution_csv, export_defining_set,
                     transform_weight_distribution, weight_enumerator_string)
 from .closed_form import THEOREM_NUMBER, classify, predicted_distribution
-from .cyclotomic import gauss_closed
 from .errors import DefSetError, FieldTooLarge, NonIntegralTableEntry
 from .fields import DEFAULT_MAX_Q, _check_size, field, require_odd_prime
 # report_dict is also read as cli.report_dict, by perfbench/replay.py
@@ -242,8 +241,7 @@ def cmd_gauss(args: argparse.Namespace) -> int:
     st = _Settings(args)
     p, m = st.entries[0]
     ctx = field(p, m, st.max_q)
-    exact, emb, checks = gauss_checks(ctx)
-    closed = gauss_closed(p, m)
+    exact, emb, closed, checks = gauss_checks(ctx)
     ok = all(c.match for c in checks)
     if st.fmt == "json":
         obj = {"p": p, "m": m,

@@ -2,9 +2,10 @@
 
 Every formula here is evaluated in exact integer arithmetic.  The two Gauss
 quantities that appear are integers in their own regimes: G for even m, and
-the product G*Gbar for odd m.  Each closed form has a brute-force oracle
-(`oracle`) that recomputes the same quantity by direct enumeration; a
-character sum is first reduced to integer counts by orthogonality.
+the product G*Gbar for odd m, both powers of Gbar^2 = eta(-1)*p.  Each closed
+form has a brute-force oracle (`oracle`) that recomputes the same quantity by
+direct enumeration; a character sum is first reduced to integer counts by
+orthogonality.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def realized_b_classes(ctx: FieldCtx) -> dict[BClass, int]:
     """
     q = ctx.q
     if ctx.m == 1:
-        # tr(b) = b: every b is alone in its class
+        # tr(b) = b: every b is alone in its class.  first_of_each_class would fill
+        # p^2 int64 cells here, 2.98 GiB at p = 19997, which the default cap admits
         return {BClass.from_element(ctx, b): b for b in range(1, q)}
     first = first_of_each_class(ctx)
     return {BClass.from_element(ctx, b): b for b in np.sort(first[first < q]).tolist()}
@@ -100,23 +102,23 @@ def _exact_div(a: int, b: int) -> int:
 
 # --- Gauss quantities as integers --------------------------------------------
 
+def Gbar_squared(p: int) -> int:
+    """Gbar^2 = eta(-1) * p for the Gauss sum Gbar over the prime field F_p."""
+    return legendre(-1, p) * p
+
+
 def G_even(p: int, m: int) -> int:
-    """G = -(-1)^(m(p-1)/4) * p^(m/2), the Gauss sum over F_q for even m."""
+    """G over F_q for even m: G = (-1)^(m-1) * Gbar^m = -(Gbar^2)^(m/2) by Davenport-Hasse."""
     if m % 2:
         raise CaseMismatch(f"G is an integer only for even m, got m={m}")
-    return -((-1) ** (m * (p - 1) // 4)) * p ** (m // 2)
+    return -Gbar_squared(p) ** (m // 2)
 
 
 def GGbar_odd(p: int, m: int) -> int:
-    """G*Gbar = (-1)^((m+1)(p-1)/4) * p^((m+1)/2) for odd m."""
+    """G*Gbar for odd m: G = Gbar^m by Davenport-Hasse, so G*Gbar = (Gbar^2)^((m+1)/2)."""
     if m % 2 == 0:
         raise CaseMismatch(f"G*Gbar is used only for odd m, got m={m}")
-    return ((-1) ** ((m + 1) * (p - 1) // 4)) * p ** ((m + 1) // 2)
-
-
-def _gbar_squared(p: int) -> int:
-    # Gbar^2 = eta(-1) * p over the prime field
-    return legendre(-1, p) * p
+    return Gbar_squared(p) ** ((m + 1) // 2)
 
 
 # --- character-sum closed forms ----------------------------------------------
@@ -142,7 +144,7 @@ def lemma9_B(p: int, m: int, cls: BClass) -> int:
     t2, t1 = cls.t2 % p, cls.t1 % p
     if tag in (CaseTag.EVEN_DIVIDES, CaseTag.EVEN_COPRIME):
         G = G_even(p, m)
-        gbar2 = _gbar_squared(p)
+        gbar2 = Gbar_squared(p)
         if tag is CaseTag.EVEN_DIVIDES:
             if t2 == 0 and t1 == 0:
                 return (p - 1) ** 2 * G

@@ -12,11 +12,11 @@ import numpy as np
 from .codes import (ClassChecks, LemmaCheck, LemmaChecks, VerifyReport, defining_set,
                     distribution_from_Nb, dual_distance_two, power_moment_check,
                     secret_sharing_ratio, transform_Nc)
-from .closed_form import (ORACLES, CaseTag, THEOREM_NUMBER, class_tables, classify,
-                          disc_of, first_of_each_class, lemma8_value, lemma9_from_counts,
-                          lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
-                          predicted_distribution)
-from .cyclotomic import CycInt, embed_complex, gauss_closed, gauss_sum_exact
+from .closed_form import (ORACLES, CaseTag, Gbar_squared, THEOREM_NUMBER, class_tables,
+                          classify, disc_of, first_of_each_class, lemma8_value,
+                          lemma9_from_counts, lemma10_N0a, lemma11_counts, lemma12_V,
+                          lemma16_uc, lemma17_vc, predicted_distribution)
+from .cyclotomic import ClosedGauss, CycInt, embed_complex, gauss_closed, gauss_sum_exact
 from .fields import DEFAULT_MAX_Q, field
 
 _NB_LEMMA_ID = {
@@ -87,23 +87,22 @@ def run_lemma_suite(ctx, nc) -> LemmaChecks:
     return LemmaChecks([lemma8, classes, rest])
 
 
-def gauss_checks(ctx) -> tuple[CycInt, complex, list[LemmaCheck]]:
-    """G exactly, its complex embedding, and the exact square identity and
-    closed-form embedding bound checked on them."""
+def gauss_checks(ctx) -> tuple[CycInt, complex, ClosedGauss, list[LemmaCheck]]:
+    """G exactly, its complex embedding, its closed form, and the exact square
+    identity and closed-form embedding bound checked on them."""
     p, m = ctx.p, ctx.m
     exact = gauss_sum_exact(ctx)
     emb = embed_complex(exact)
-    eta_minus_one = 1 if ((ctx.q - 1) // 2) % 2 == 0 else -1
+    # G^2 = eta_q(-1) * q = (Gbar^2)^m
+    want = Gbar_squared(p) ** m
     square = exact * exact
-    want = CycInt.from_int(p, eta_minus_one * ctx.q)
     closed = gauss_closed(p, m)
     diff = abs(emb - closed.value())
     tol = 1e-9 * p ** (m / 2)
-    return exact, emb, [
-        LemmaCheck("lemma5_square_identity", {},
-                   eta_minus_one * ctx.q,
+    return exact, emb, closed, [
+        LemmaCheck("lemma5_square_identity", {}, want,
                    square.to_int() if square.is_rational_int() else str(square),
-                   square == want),
+                   square == CycInt.from_int(p, want)),
         LemmaCheck("lemma5_embedding", {"tolerance": tol},
                    str(closed), f"{diff:.3e}", diff < tol),
     ]
@@ -128,7 +127,7 @@ def run_verification(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q,
     dual = dual_distance_two(ds) if "dual" in checks else None
     ss = secret_sharing_ratio(dist, p) if dist else None
     lemmas = run_lemma_suite(ctx, nc) if "lemmas" in checks else LemmaChecks()
-    gauss = gauss_checks(ctx)[2] if "gauss" in checks else []
+    gauss = gauss_checks(ctx)[3] if "gauss" in checks else []
 
     holds = {
         "distribution": match,

@@ -702,7 +702,7 @@ def assert_only_trace_forms(ctx):
 
 def test_gauss_and_dual_leave_only_trace_forms_on_the_field():
     ctx = FieldCtx(3, 8)
-    assert all(c.match for c in gauss_checks(ctx)[2])
+    assert all(c.match for c in gauss_checks(ctx)[3])
     assert dual_distance_two(defining_set(ctx))
     assert_only_trace_forms(ctx)
 

@@ -2,18 +2,19 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from defset.closed_form import (ORACLES, BClass, CaseTag, G_even, GGbar_odd, class_tables,
-                                classify, lemma8_value, lemma9_B, lemma9_from_counts,
+from defset.closed_form import (ORACLES, BClass, CaseTag, G_even, GGbar_odd, Gbar_squared,
+                                class_tables, classify, lemma8_value, lemma9_B, lemma9_from_counts,
                                 lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
                                 lemma_Nb_predicted, oracle, predicted_distribution,
                                 predicted_length, realized_b_classes)
 from defset.codes import (brute_weight_distribution, count_Nb, defining_set, dft_prime,
                           distribution_from_Nb, transform_Nc, transform_weight_distribution)
-from defset.cyclotomic import CycInt, gauss_sum_exact
+from defset.cyclotomic import CycInt, gauss_closed, gauss_sum_exact
 from defset.errors import CaseMismatch, FieldTooLarge, NonIntegralTableEntry
 from defset.fields import DEFAULT_MAX_Q, FieldCtx, field, is_prime
 from defset.verify import run_lemma_suite, run_verification
@@ -36,8 +37,6 @@ def test_G_even_values():
     assert G_even(3, 6) == 27
     assert G_even(3, 4) == -9
     assert G_even(3, 2) == 3
-    # cross-check against the exact character sum over F_9
-    assert gauss_sum_exact(field(3, 2)) == CycInt.from_int(3, G_even(3, 2))
     with pytest.raises(CaseMismatch):
         G_even(3, 3)
 
@@ -384,6 +383,21 @@ def test_realized_classes_partition():
         assert list(realized_b_classes(ctx).items()) == list(first.items())
 
 
+def test_realized_classes_at_m1_make_no_class_table():
+    # first_of_each_class would fill p^2 int64 cells, 2.98 GiB at p = 19997, where
+    # each b is alone in its class; the m = 1 branch reads b's own traces instead
+    ctx = FieldCtx(19997, 1)
+    assert ctx.trace_x2.size == ctx.trace_table.size == ctx.q  # the tables, built first
+    tracemalloc.start()
+    try:
+        classes = realized_b_classes(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak  # about 4 MB, against the table's 2.98 GiB
+    assert list(classes.values()) == list(range(1, ctx.q))
+
+
 def test_oracle_unknown_kind():
     with pytest.raises(ValueError):
         oracle("lemma99", 3, 3)
@@ -399,6 +413,34 @@ EXACT_SWEEP_FIELDS = fields_up_to(300_000)
 # the fields past 3*10^5 take about 14 s in all, so they run only under `-m slow`
 SLOW_SWEEP_FIELDS = [pytest.param(p, m, marks=pytest.mark.slow)
                      for p, m in fields_up_to(2_000_000) if p ** m > 300_000]
+
+
+def test_gauss_integers_equal_the_exact_sums():
+    # lemma 5: G over F_q (even m) and G*Gbar (odd m) against the exact character sums
+    assert len(SMALL_FIELDS) == 53
+    for p, m in SMALL_FIELDS:
+        G = gauss_sum_exact(field(p, m))
+        if m % 2 == 0:
+            assert G == CycInt.from_int(p, G_even(p, m)), (p, m)
+        else:
+            GGbar = G * gauss_sum_exact(field(p, 1))
+            assert GGbar == CycInt.from_int(p, GGbar_odd(p, m)), (p, m)
+
+
+def test_gauss_integers_agree_with_the_complex_closed_form():
+    # the integers, powers of Gbar^2, and gauss_closed's units state one lemma 5
+    for p in filter(is_prime, range(3, 2000)):
+        gbar_unit = gauss_closed(p, 1).unit
+        for m in range(1, 40):
+            unit = gauss_closed(p, m).unit
+            if m % 2 == 0:
+                assert unit == math.copysign(1, G_even(p, m)), (p, m)
+            else:
+                assert unit * gbar_unit == math.copysign(1, GGbar_odd(p, m)), (p, m)
+            q = p ** m
+            assert Gbar_squared(p) ** m == (-1) ** ((q - 1) // 2) * q, (p, m)
+
+
 ENUMERATED_FIELDS = [(3, 4), (5, 3), (3, 6), (3, 3), (3, 5), (3, 8), (5, 4), (5, 5), (7, 3),
                      (7, 4), (3, 2), (7, 2), (13, 2), (71, 2)]
 

@@ -100,8 +100,8 @@ class _Settings:
         self.fmt = pick("format", "text")
         self.out = pick("out")
         checks = pick("checks")
-        self.checks = CHECK_FAMILIES if checks is None else tuple(
-            c.strip() for c in checks.split(",") if c.strip())
+        self.checks = CHECK_FAMILIES if checks is None else tuple(dict.fromkeys(
+            c.strip() for c in checks.split(",") if c.strip()))
         if not self.checks or not set(self.checks) <= set(CHECK_FAMILIES):
             raise DefSetError(f"bad check selection {checks!r} (want a nonempty comma list of: "
                               f"{', '.join(CHECK_FAMILIES)})")

@@ -259,16 +259,14 @@ class LemmaCheck:
 class ClassChecks:
     """The lemma-9 and N_b checks of every realized (tr b^2, tr b) class, as columns.
 
-    Class k is (t2[k], t1[k]) with smallest element b[k]; closed[k] and oracle[k]
-    are its pairs (B, N_b), and entry j is its row with id ids[j] and the params
-    {t2, t1, disc, b}.  A row is a LemmaCheck built when it is read.
+    `params` maps each param name to its column, in the order a row lists them;
+    class k's params are the k-th entries.  closed[k] and oracle[k] are its pairs
+    (B, N_b), and entry j is its row with id ids[j].  A row is a LemmaCheck built
+    when it is read.
     """
 
-    nb_id: str
-    t2: np.ndarray
-    t1: np.ndarray
-    disc: np.ndarray
-    b: np.ndarray
+    ids: tuple[str, str]
+    params: dict[str, np.ndarray]
     closed: np.ndarray
     oracle: np.ndarray
 
@@ -276,20 +274,16 @@ class ClassChecks:
     def match(self) -> np.ndarray:
         return self.closed == self.oracle
 
-    @property
-    def ids(self) -> tuple[str, str]:
-        return ("lemma9", self.nb_id)
-
     def __len__(self) -> int:
         return self.closed.size
 
     def _rows(self, at: np.ndarray):
         """The rows at positions `at`: row 2k + j is entry j of class k."""
         k, j = np.divmod(at, 2)
-        for entry, t2, t1, disc, b, c, o, ok in zip(*(col.tolist() for col in (
-                j, self.t2[k], self.t1[k], self.disc[k], self.b[k],
+        params = zip(*(col[k].tolist() for col in self.params.values()))
+        for entry, values, c, o, ok in zip(j.tolist(), params, *(col.tolist() for col in (
                 self.closed[k, j], self.oracle[k, j], self.match[k, j]))):
-            yield LemmaCheck(self.ids[entry], {"t2": t2, "t1": t1, "disc": disc, "b": b}, c, o, ok)
+            yield LemmaCheck(self.ids[entry], dict(zip(self.params, values)), c, o, ok)
 
     def __iter__(self):
         return self._rows(np.arange(len(self)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -101,34 +102,32 @@ def reports_csv(reports: list[VerifyReport]) -> str:
 # writes it as _CLASS_TOKEN where the class rows go
 _CLASS_BLOCK = "\0class checks"
 _CLASS_TOKEN = json.dumps(_CLASS_BLOCK)
-# a class row as json.dumps(indent=2) writes a LemmaCheck with four params at depth 0
-_CLASS_ROW = """{
-  "id": "<id>",
-  "params": {
-    "t2": %d,
-    "t1": %d,
-    "disc": %s,
-    "b": %d
-  },
-  "closed": %d,
-  "oracle": %d,
-  "match": %s
-}"""
-# disc and match as JSON writes a bool; an object array lists the same two strings
+# a bool column's values as JSON writes them; an object array lists the same two strings
 _JSON_BOOL = np.array(["false", "true"], dtype=object)
+
+
+@functools.cache
+def _class_row(names: tuple[str, ...]) -> str:
+    """A class row as json.dumps(indent=2) writes a LemmaCheck with these params
+    at depth 0: id "<id>", and %s in place of each value."""
+    hole = "\0"
+    row = LemmaCheck("<id>", dict.fromkeys(names, hole), hole, hole, hole)
+    return json.dumps(_lemma_row(row), indent=2).replace(json.dumps(hole), "%s")
 
 
 def _class_block(cc: ClassChecks, indent: str) -> str:
     """The rows of cc as json.dumps(indent=2) writes them in a list at this indent,
     with the first line not indented: one %-format of a class's rows, entry 0 then
     entry 1 of its pairs, repeated; a class's params are listed once for both."""
-    pair = ",\n".join(_CLASS_ROW.replace("<id>", i) for i in cc.ids).replace("\n", "\n" + indent)
-    disc, match = (_JSON_BOOL[col.astype(np.int8)] for col in (cc.disc, cc.match))
-    params = [col.tolist() for col in (cc.t2, cc.t1, disc, cc.b)]
-    rows = [[*params, *(col[:, j].tolist() for col in (cc.closed, cc.oracle, match))]
-            for j in range(len(cc.ids))]
+    row = _class_row(tuple(cc.params))
+    pair = ",\n".join(row.replace("<id>", i) for i in cc.ids).replace("\n", "\n" + indent)
+    # each column as the values %s writes, and a classes x 2 array as one list per entry
+    *params, closed, oracle, match = (
+        (_JSON_BOOL[col.astype(np.int8)] if col.dtype == bool else col).tolist()
+        for col in (*cc.params.values(), cc.closed.T, cc.oracle.T, cc.match.T))
+    rows = [[*params, *entry] for entry in zip(closed, oracle, match)]
     values = itertools.chain.from_iterable(zip(*itertools.chain.from_iterable(rows)))
-    return ((pair + ",\n" + indent) * (len(cc.b) - 1) + pair) % tuple(values)
+    return ((pair + ",\n" + indent) * (len(cc.closed) - 1) + pair) % tuple(values)
 
 
 def reports_json(reports: list[VerifyReport], single: bool, include_runtime: bool) -> str:

@@ -71,8 +71,9 @@ def run_lemma_suite(ctx, nc) -> LemmaChecks:
     # tr(b*x) = 0 on q/p elements for b != 0, so the lemma-9 and N_b
     # checks of a class both compare the one count N_b
     oracle = np.stack([lemma9_from_counts(p, ctx.q, nb, n0, ctx.q // p), nb], axis=1)
-    classes = ClassChecks(_NB_LEMMA_ID[classify(p, m)], t2, t1, disc_of(p, m, t2, t1),
-                          reps, class_tables(p, m)[t2, t1], oracle)
+    classes = ClassChecks(("lemma9", _NB_LEMMA_ID[classify(p, m)]),
+                          {"t2": t2, "t1": t1, "disc": disc_of(p, m, t2, t1), "b": reps},
+                          class_tables(p, m)[t2, t1], oracle)
     rest = [check("lemma10", {"a": a}, lemma10_N0a(p, m, a), ORACLES["lemma10"](ctx, a=a))
             for a in range(p)]
     rest.append(check("lemma11", {}, list(lemma11_counts(p, m)), list(ORACLES["lemma11"](ctx))))

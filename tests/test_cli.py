@@ -353,12 +353,28 @@ def test_verify_m2_lemma_mismatch_fails(capsys, monkeypatch):
     ("dual", "none of the selected checks gates"),
     ("dual,gauss", "only gauss gates"),
     ("ss-ratio,lemmas,moments,distribution", "only lemmas, distribution gate"),
+    ("lemmas,lemmas,gauss", "only lemmas, gauss gate"),
 ])
 def test_verify_m2_note_names_the_selected_gating_checks(capsys, checks, note):
     # at m <= 2 the moments, dual and ss-ratio checks are only reported
     code, out, _ = run(capsys, "verify", "--p", "3", "--m", "2", "--checks", checks)
     assert code == EXIT_OK
     assert f"  note: m <= 2 is outside the theorem hypotheses; {note} the exit code\n" in out
+
+
+def test_a_repeated_check_family_is_selected_once(tmp_path, capsys):
+    # each family is kept once, in the order first named, from the flag and the config alike
+    want = run(capsys, "verify", "--p", "3", "--m", "2", "--checks", "lemmas,gauss",
+               "--format", "json")
+    assert want[0] == EXIT_OK
+    assert run(capsys, "verify", "--p", "3", "--m", "2", "--checks", "lemmas,lemmas,gauss",
+               "--format", "json") == want
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=3\nm=2\nchecks=lemmas, gauss,lemmas\nformat=json\n")
+    assert run(capsys, "verify", "--config", str(cfg)) == want
+    cfg.write_text("p=3\nm=2\nchecks=lemmas,lemmas,gauss\n")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == EXIT_OK and "; only lemmas, gauss gate the exit code\n" in out
 
 
 def test_verify_csv_summary(capsys):

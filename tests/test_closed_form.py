@@ -1,5 +1,6 @@
 """Closed-form evaluators against frozen values and enumeration oracles."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -8,15 +9,15 @@ import numpy as np
 import pytest
 
 from defset.closed_form import (ORACLES, BClass, CaseTag, G_even, GGbar_odd, Gbar_squared,
-                                class_tables, classify, lemma8_value, lemma9_B, lemma9_from_counts,
-                                lemma10_N0a, lemma11_counts, lemma12_V, lemma16_uc, lemma17_vc,
-                                lemma_Nb_predicted, oracle, predicted_distribution,
-                                predicted_length, realized_b_classes)
+                                class_tables, classify, disc_of, lemma8_value, lemma9_B,
+                                lemma9_from_counts, lemma10_N0a, lemma11_counts, lemma12_V,
+                                lemma16_uc, lemma17_vc, lemma_Nb_predicted, oracle,
+                                predicted_distribution, predicted_length, realized_b_classes)
 from defset.codes import (brute_weight_distribution, count_Nb, defining_set, dft_prime,
                           distribution_from_Nb, transform_Nc, transform_weight_distribution)
 from defset.cyclotomic import CycInt, gauss_closed, gauss_sum_exact
 from defset.errors import CaseMismatch, FieldTooLarge, NonIntegralTableEntry
-from defset.fields import DEFAULT_MAX_Q, FieldCtx, field, is_prime
+from defset.fields import DEFAULT_MAX_Q, FieldCtx, field, is_prime, legendre
 from defset.verify import run_lemma_suite, run_verification
 
 
@@ -100,22 +101,54 @@ def test_table_totals_and_integrality():
         assert sum(w * a for w, a in pred.rows) == p ** (m - 1) * (p - 1) * pred.n
 
 
+def closed_form_sweep(m_min):
+    """Every (p, m) with p an odd prime below 200, m >= m_min and p^m <= 10^40."""
+    for p in filter(is_prime, range(3, 200)):
+        m = m_min
+        while p ** m <= 10 ** 40:
+            yield p, m
+            m += 1
+
+
 def test_second_pless_moment_on_closed_form_tables():
     # sum w^2 A_w = p^(m-2) [(p-1)n((p-1)n + 1) + 2 B_2], with B_2 = C(p-1, 2) (N00 - 1)
     # weight-2 dual words and N00 = |{x : tr(x^2) = tr(x) = 0}| from lemma 10
     # (MacWilliams & Sloane, ch. 5): tables far past enumeration, closed forms only
     tables = 0
-    for p in filter(is_prime, range(3, 200)):
-        for m in range(3, 200):
-            if p ** m > 10 ** 40:
-                break
-            pred = predicted_distribution(p, m)
-            n = pred.n
-            b2 = math.comb(p - 1, 2) * (lemma10_N0a(p, m, 0) - 1)
-            want = p ** (m - 2) * ((p - 1) * n * ((p - 1) * n + 1) + 2 * b2)
-            assert sum(w * w * a for w, a in pred.rows) == want, (p, m)
-            tables += 1
+    for p, m in closed_form_sweep(3):
+        pred = predicted_distribution(p, m)
+        n = pred.n
+        b2 = math.comb(p - 1, 2) * (lemma10_N0a(p, m, 0) - 1)
+        want = p ** (m - 2) * ((p - 1) * n * ((p - 1) * n + 1) + 2 * b2)
+        assert sum(w * w * a for w, a in pred.rows) == want, (p, m)
+        tables += 1
     assert tables == 998
+
+
+def test_lengths_and_class_values_follow_from_lemmas_8_and_9_past_enumeration():
+    # summing zeta^(y tr(x^2 + x) + z tr(bx)) over y, z in F_p and x in F_q gives
+    # p n0 = q + lemma 8 with n0 = n + 1, and p^2 N_b = q + lemma 8 + B_b for b != 0.
+    # The scalar forms are evaluated because class_tables' int64 overflows here, at
+    # one cell (t2, t1) per case key: t2 = 0, t1 = 0, eta(-t2) and eta(m t2 - t1^2)
+    tables = cells = 0
+    for p, sweep in itertools.groupby(closed_form_sweep(2), key=lambda entry: entry[0]):
+        eta = np.array([legendre(a, p) for a in range(p)])
+        t2, t1 = np.arange(p)[:, None], np.arange(p)
+        head = (2 * (t2 == 0) + (t1 == 0)) * 3 + eta[-t2 % p]
+        for _, m in sweep:
+            q, lemma8 = p ** m, lemma8_value(p, m)
+            n0, rem = divmod(q + lemma8, p)
+            assert rem == 0 and predicted_length(p, m) == n0 - 1, (p, m)
+            key = head * 3 + eta[(m * t2 - t1 * t1) % p]
+            first = np.full(key.max() + 1, -1)
+            first[key.ravel()] = np.arange(p * p)
+            for c2, c1 in (divmod(c, p) for c in first[first >= 0].tolist()):
+                cls = BClass(c2, c1, disc_of(p, m, c2, c1))
+                assert (p * p * lemma_Nb_predicted(p, m, cls)
+                        == q + lemma8 + lemma9_B(p, m, cls)), (p, m, c2, c1)
+                cells += 1
+            tables += 1
+    assert (tables, cells) == (1043, 9021)
 
 
 def test_tables_reject_m1():

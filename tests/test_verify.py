@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from defset import cli, closed_form, codes, report, verify
-from defset.closed_form import ORACLES, THEOREM_NUMBER, classify, realized_b_classes
+from defset.closed_form import (ORACLES, THEOREM_NUMBER, classify, lemma10_N0a,
+                                realized_b_classes)
 from defset.codes import count_Nb, defining_set, transform_Nc
-from defset.fields import DEFAULT_MAX_Q, field
+from defset.fields import DEFAULT_MAX_Q, field, is_prime
 from defset.verify import _NB_LEMMA_ID, CLAIMS, run_lemma_suite, run_verification
 
 README_GRID = [(3, 3), (3, 4), (3, 5), (3, 6), (3, 8), (5, 3), (5, 4), (5, 5), (7, 3), (7, 4)]
@@ -29,6 +30,18 @@ def test_claims_dual_on_theorems_2_and_4_except_53():
     thm_2_4 = {(p, m) for p, m in README_GRID if THEOREM_NUMBER[classify(p, m)] in (2, 4)}
     assert (5, 3) in thm_2_4
     assert asserted_at("dual") == thm_2_4 - {(5, 3)}
+    # the exception stated by hand (m = 3, p = 2 mod 3) is exactly where lemma 10 gives
+    # N(0, 0) = 1: only x = 0 has tr(x) = tr(x^2) = 0, so no two coordinates are
+    # proportional.  Every odd p < 200 and m >= 2 with p^m <= 10^40
+    fields = 0
+    for p in filter(is_prime, range(3, 200)):
+        m = 2
+        while p ** m <= 10 ** 40:
+            derived = (m > 2 and THEOREM_NUMBER[classify(p, m)] in (2, 4)
+                       and lemma10_N0a(p, m, 0) > 1)
+            assert CLAIMS["dual"](p, m) == derived, (p, m)
+            fields, m = fields + 1, m + 1
+    assert fields == 1043
 
 
 def test_claims_moments_iff_m_above_2():

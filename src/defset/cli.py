@@ -21,7 +21,7 @@ from .errors import DefSetError, FieldTooLarge, NonIntegralTableEntry
 from .fields import DEFAULT_MAX_Q, _check_size, field, require_odd_prime
 # report_dict is also read as cli.report_dict, by perfbench/replay.py
 from .report import report_dict, report_text, reports_csv, reports_json
-from .verify import CHECK_FAMILIES, gauss_checks, run_verification
+from .verify import CHECK_FAMILIES, FAMILIES, gauss_checks, run_verification
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -102,9 +102,9 @@ class _Settings:
         checks = pick("checks")
         self.checks = CHECK_FAMILIES if checks is None else tuple(dict.fromkeys(
             c.strip() for c in checks.split(",") if c.strip()))
-        if not self.checks or not set(self.checks) <= set(CHECK_FAMILIES):
+        if not self.checks or not set(self.checks) <= set(FAMILIES):
             raise DefSetError(f"bad check selection {checks!r} (want a nonempty comma list of: "
-                              f"{', '.join(CHECK_FAMILIES)})")
+                              f"{', '.join(FAMILIES)})")
         named = [{k for k in ("grid", "p", "m") if getattr(args, k, None) is not None},
                  {"grid", "p", "m"} & set(cfg)]
         if any("grid" in keys and len(keys) > 1 for keys in named):
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _subcommand(sub, "verify", cmd_verify,
                      "enumeration vs closed forms, lemma oracles, invariants", grid=True)
     sp.add_argument("--checks", type=str, default=None,
-                    help="comma list of: " + ",".join(CHECK_FAMILIES))
+                    help="comma list of: " + ",".join(FAMILIES))
     sp.add_argument("--timestamps", action="store_true",
                     help="include runtime_ms in JSON reports (off for byte-stable output)")
 

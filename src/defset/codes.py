@@ -24,6 +24,7 @@ class DefiningSet:
     and `elements`, D's index array, is built on first read.  Only `build`'s
     export, `dimension`, `trace_basis` and the brute-force reference read it,
     so `verify` lists no D.  DefiningSet(ctx, elements) takes a given index array.
+    `nc` and `weight_distribution` are likewise computed on first read.
     """
 
     def __init__(self, ctx: FieldCtx, elements: np.ndarray | None = None):
@@ -39,6 +40,14 @@ class DefiningSet:
     def elements(self) -> np.ndarray:
         # flatnonzero lists D0 in int64, and x = 0 is its first index
         return np.flatnonzero(self.ctx.trace_x2_plus_x == 0)[1:]
+
+    @cached_property
+    def nc(self) -> np.ndarray:
+        return transform_Nc(self)
+
+    @cached_property
+    def weight_distribution(self) -> WeightDistribution:
+        return distribution_from_Nb(self, self.nc)
 
     @property
     def n0(self) -> int:
@@ -193,7 +202,7 @@ def distribution_from_Nb(ds: DefiningSet, nb: np.ndarray) -> WeightDistribution:
 
 def transform_weight_distribution(ds: DefiningSet) -> WeightDistribution:
     """Exact distribution over all p^m codewords from one DFT over F_p^m (`transform_Nc`)."""
-    return distribution_from_Nb(ds, transform_Nc(ds))
+    return ds.weight_distribution
 
 
 def power_moment_check(dist: WeightDistribution, p: int, m: int, n: int) -> tuple[bool, bool]:
@@ -314,6 +323,9 @@ class LemmaChecks:
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
+    def __add__(self, other: LemmaChecks) -> LemmaChecks:
+        return LemmaChecks(self.parts + other.parts)
+
     def all_match(self) -> bool:
         return all(part.match.all() if isinstance(part, ClassChecks) else
                    all(c.match for c in part) for part in self.parts)
@@ -332,6 +344,7 @@ class VerifyReport:
     `n_bruteforce` and `distribution_bruteforce` hold the enumeration by `transform_Nc`;
     the names match the report's JSON and CSV keys, which stay for byte stability.
     A list of LemmaCheck given as `lemma_checks` becomes a one-part LemmaChecks.
+    The field of a check family that did not run stays None (`lemma_checks` empty).
     """
 
     p: int
@@ -342,10 +355,10 @@ class VerifyReport:
     n_predicted: int
     distribution_bruteforce: WeightDistribution | None
     distribution_predicted: WeightDistribution
-    match: bool | None
-    moment_checks: tuple[bool, bool] | None
-    dual_distance_two: bool | None
-    ss_ratio: tuple[int, int, bool] | None
+    match: bool | None = None
+    moment_checks: tuple[bool, bool] | None = None
+    dual_distance_two: bool | None = None
+    ss_ratio: tuple[int, int, bool] | None = None
     lemma_checks: LemmaChecks = dataclass_field(default_factory=LemmaChecks)
     runtime_ms: int = 0
     outside_theorem_hypothesis: bool = False

@@ -9,7 +9,7 @@ import json
 import numpy as np
 
 from .codes import ClassChecks, LemmaCheck, VerifyReport, weight_enumerator_string
-from .verify import CLAIMS
+from .verify import FAMILIES
 
 
 def _lemma_row(c: LemmaCheck) -> dict:
@@ -71,7 +71,7 @@ def report_text(rep: VerifyReport, checks: tuple[str, ...]) -> str:
         lines += [f"    MISMATCH {c.id} {c.params}: closed={c.closed} oracle={c.oracle}"
                   for c in bad]
     if rep.outside_theorem_hypothesis:
-        gating = [f for f in checks if CLAIMS[f](rep.p, rep.m)]
+        gating = [f for f in checks if FAMILIES[f].gate(rep.p, rep.m)]
         who = f"only {', '.join(gating)}" if gating else "none of the selected checks"
         verb = "gate" if len(gating) > 1 else "gates"
         lines.append("  note: m <= 2 is outside the theorem hypotheses; "

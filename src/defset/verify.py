@@ -1,17 +1,18 @@
 """Verify one (p, m) entry: enumeration against the closed forms and lemma oracles.
 
-`CLAIMS` says, for each check family, whether it gates the verdict at (p, m).
+`FAMILIES` states each check family once: whether it gates the verdict at (p, m),
+the `VerifyReport` field it fills, its run and its verdict.  Only selected ones run.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .codes import (ClassChecks, LemmaCheck, LemmaChecks, VerifyReport, defining_set,
-                    distribution_from_Nb, dual_distance_two, power_moment_check,
-                    secret_sharing_ratio, transform_Nc)
+                    dual_distance_two, power_moment_check, secret_sharing_ratio)
 from .closed_form import (ORACLES, CaseTag, Gbar_squared, THEOREM_NUMBER, class_tables,
                           classify, disc_of, first_of_each_class, lemma8_value,
                           lemma9_from_counts, lemma10_N0a, lemma11_counts, lemma12_V,
@@ -25,28 +26,6 @@ _NB_LEMMA_ID = {
     CaseTag.ODD_DIVIDES: "lemma15",
     CaseTag.ODD_COPRIME: "lemma18",
 }
-
-# check family -> (p, m) -> whether it gates the verdict there; if not, it is only reported
-CLAIMS = {
-    # the distribution and every lemma and Gauss-sum identity are exact
-    # equalities that hold for every m, inside the theorem hypotheses or not
-    "distribution": lambda p, m: True,
-    "lemmas": lambda p, m: True,
-    "gauss": lambda p, m: True,
-    # the power moments are derived under the theorem hypothesis m > 2
-    "moments": lambda p, m: m > 2,
-    # theorems 2 and 4 claim dual distance two.  In the four-weight
-    # degeneration (m = 3 with p = 2 mod 3) the only solution of
-    # tr(x) = tr(x^2) = 0 is x = 0, so no two coordinates of D are
-    # proportional and the dual distance is 3: there it is only reported.
-    "dual": lambda p, m: (m > 2 and THEOREM_NUMBER[classify(p, m)] in (2, 4)
-                           and not (m == 3 and p % 3 == 2)),
-    # theorems 1, 2, 3, 4 claim w_min/w_max > (p-1)/p from m = 4, 6, 5, 5 on
-    "ss-ratio": lambda p, m: m >= {1: 4, 2: 6, 3: 5, 4: 5}[THEOREM_NUMBER[classify(p, m)]],
-}
-
-CHECK_FAMILIES = tuple(CLAIMS)
-
 
 def run_lemma_suite(ctx, nc) -> LemmaChecks:
     """Compare every applicable closed form against its enumeration oracle on ctx.
@@ -109,43 +88,66 @@ def gauss_checks(ctx) -> tuple[CycInt, complex, ClosedGauss, list[LemmaCheck]]:
     ]
 
 
+class Family(NamedTuple):
+    gate: Callable[[int, int], bool]  # (p, m) -> gates the verdict there; if not, only reported
+    field: str  # the VerifyReport field that its result fills
+    run: Callable  # (D, the predicted distribution) -> its result
+    verdict: Callable  # its result -> whether the claim is met
+
+
+# each check family, in the order run_verification runs the selected ones
+FAMILIES = {
+    # the distribution and every lemma and Gauss-sum identity are exact
+    # equalities that hold for every m, inside the theorem hypotheses or not
+    "distribution": Family(lambda p, m: True, "match", lambda ds, pred: (
+        ds.weight_distribution == pred.with_zero_word() and ds.n == pred.n), bool),
+    "lemmas": Family(lambda p, m: True, "lemma_checks", lambda ds, pred: (
+        run_lemma_suite(ds.ctx, ds.nc)), LemmaChecks.all_match),
+    "gauss": Family(lambda p, m: True, "lemma_checks", lambda ds, pred: (
+        LemmaChecks([gauss_checks(ds.ctx)[3]])), LemmaChecks.all_match),
+    # the power moments are derived under the theorem hypothesis m > 2
+    "moments": Family(lambda p, m: m > 2, "moment_checks", lambda ds, pred: (
+        power_moment_check(ds.weight_distribution, ds.ctx.p, ds.ctx.m, ds.n)), all),
+    # theorems 2 and 4 claim dual distance two.  In the four-weight
+    # degeneration (m = 3 with p = 2 mod 3) the only solution of
+    # tr(x) = tr(x^2) = 0 is x = 0, so no two coordinates of D are
+    # proportional and the dual distance is 3: there it is only reported.
+    "dual": Family(lambda p, m: (m > 2 and THEOREM_NUMBER[classify(p, m)] in (2, 4)
+                                 and not (m == 3 and p % 3 == 2)),
+                   "dual_distance_two", lambda ds, pred: dual_distance_two(ds), bool),
+    # theorems 1, 2, 3, 4 claim w_min/w_max > (p-1)/p from m = 4, 6, 5, 5 on
+    "ss-ratio": Family(lambda p, m: m >= {1: 4, 2: 6, 3: 5, 4: 5}[THEOREM_NUMBER[classify(p, m)]],
+                       "ss_ratio", lambda ds, pred: secret_sharing_ratio(
+                           ds.weight_distribution, ds.ctx.p), lambda ss: ss[2]),
+}
+
+CHECK_FAMILIES = tuple(FAMILIES)
+
+
 def run_verification(p: int, m: int, *, max_q: int = DEFAULT_MAX_Q,
                      checks=CHECK_FAMILIES) -> VerifyReport:
-    """Build, enumerate, predict and compare one (p, m) entry."""
+    """Build, enumerate, predict and compare one (p, m) entry, running only `checks`."""
     t0 = time.perf_counter()
-    checks = tuple(checks)
-    ctx = field(p, m, max_q)
-    ds = defining_set(ctx)
+    ds = defining_set(field(p, m, max_q))
     tag = classify(p, m)
     pred = predicted_distribution(p, m)
-    pred_dist = pred.with_zero_word()
-
-    need_dist = bool({"distribution", "moments", "ss-ratio"} & set(checks))
-    nc = transform_Nc(ds) if need_dist or "lemmas" in checks else None
-    dist = distribution_from_Nb(ds, nc) if need_dist else None
-    match = (dist == pred_dist and ds.n == pred.n) if dist else None
-    moments = power_moment_check(dist, p, m, ds.n) if dist else None
-    dual = dual_distance_two(ds) if "dual" in checks else None
-    ss = secret_sharing_ratio(dist, p) if dist else None
-    lemmas = run_lemma_suite(ctx, nc) if "lemmas" in checks else LemmaChecks()
-    gauss = gauss_checks(ctx)[3] if "gauss" in checks else []
-
-    holds = {
-        "distribution": match,
-        "lemmas": lemmas.all_match(),
-        "gauss": all(c.match for c in gauss),
-        "moments": moments and all(moments),
-        "dual": dual,
-        "ss-ratio": ss and ss[2],
-    }
+    results, gated = {}, []
+    for name, family in FAMILIES.items():
+        if name in checks:
+            result = family.run(ds, pred)
+            # lemmas and gauss both fill lemma_checks, lemmas' rows first
+            key = family.field
+            results[key] = results[key] + result if key in results else result
+            if family.gate(p, m):
+                gated.append(family.verdict(result))
     return VerifyReport(
         p=p, m=m, case=tag.value, theorem=THEOREM_NUMBER[tag],
         n_bruteforce=ds.n, n_predicted=pred.n,
-        distribution_bruteforce=dist,
-        distribution_predicted=pred_dist,
-        match=match, moment_checks=moments, dual_distance_two=dual, ss_ratio=ss,
-        lemma_checks=LemmaChecks([*lemmas.parts, gauss]),
+        # the enumerated distribution, if a selected family read it
+        distribution_bruteforce=vars(ds).get("weight_distribution"),
+        distribution_predicted=pred.with_zero_word(),
+        **results,
         runtime_ms=int((time.perf_counter() - t0) * 1000),
         outside_theorem_hypothesis=m <= 2,
-        passed=all(holds[f] for f in checks if CLAIMS[f](p, m)),
+        passed=all(gated),
     )

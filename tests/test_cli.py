@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defset import cli, cyclotomic, fields, verify
+from defset import cli, codes, cyclotomic, fields, verify
 from defset.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from defset.closed_form import (PredictedDistribution, classify, first_of_each_class,
                                 predicted_distribution)
@@ -584,7 +584,7 @@ def record_reports(monkeypatch) -> list:
 def swap_at_a_representative(monkeypatch):
     """Swap N_c at the representative of the last class with a nonzero c of another
     N_c: the distribution keeps its multiset, and that class's rows mismatch."""
-    real = verify.transform_Nc
+    real = codes.transform_Nc
 
     def swapped(ds):
         nc = real(ds)
@@ -594,7 +594,7 @@ def swap_at_a_representative(monkeypatch):
         nc[[c1, c2]] = nc[[c2, c1]]
         return nc
 
-    monkeypatch.setattr(verify, "transform_Nc", swapped)
+    monkeypatch.setattr(codes, "transform_Nc", swapped)
 
 
 def off_by_one_nb_table(monkeypatch):

@@ -1,4 +1,4 @@
-"""The claim table of `defset.verify`, the benchmark's traced replay of it, and its reference bytes."""
+"""`defset.verify.FAMILIES`, the benchmark's traced replay of it, and its reference bytes."""
 
 import importlib
 import json
@@ -12,14 +12,14 @@ from defset.closed_form import (ORACLES, THEOREM_NUMBER, classify, lemma10_N0a,
                                 realized_b_classes)
 from defset.codes import count_Nb, defining_set, transform_Nc
 from defset.fields import DEFAULT_MAX_Q, field, is_prime
-from defset.verify import _NB_LEMMA_ID, CLAIMS, run_lemma_suite, run_verification
+from defset.verify import _NB_LEMMA_ID, FAMILIES, run_lemma_suite, run_verification
 
 README_GRID = [(3, 3), (3, 4), (3, 5), (3, 6), (3, 8), (5, 3), (5, 4), (5, 5), (7, 3), (7, 4)]
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def asserted_at(family):
-    return {(p, m) for p, m in README_GRID if CLAIMS[family](p, m)}
+    return {(p, m) for p, m in README_GRID if FAMILIES[family].gate(p, m)}
 
 
 def test_claims_ss_ratio_exactly_at_criterion_5_set():
@@ -39,19 +39,76 @@ def test_claims_dual_on_theorems_2_and_4_except_53():
         while p ** m <= 10 ** 40:
             derived = (m > 2 and THEOREM_NUMBER[classify(p, m)] in (2, 4)
                        and lemma10_N0a(p, m, 0) > 1)
-            assert CLAIMS["dual"](p, m) == derived, (p, m)
+            assert FAMILIES["dual"].gate(p, m) == derived, (p, m)
             fields, m = fields + 1, m + 1
     assert fields == 1043
 
 
 def test_claims_moments_iff_m_above_2():
     for p, m in README_GRID + [(3, 2), (5, 2), (7, 1)]:
-        assert CLAIMS["moments"](p, m) is (m > 2)
+        assert FAMILIES["moments"].gate(p, m) is (m > 2)
 
 
 def test_claims_at_32_only_exact_identities():
-    gating = [f for f, claim in CLAIMS.items() if claim(3, 2)]
+    gating = [f for f, family in FAMILIES.items() if family.gate(3, 2)]
     assert gating == ["distribution", "lemmas", "gauss"]
+
+
+# the key of the JSON "checks" object that each family fills; lemmas and gauss fill none
+CHECKS_KEY = {"distribution": "match", "lemmas": None, "gauss": None, "moments": "moments",
+              "dual": "dual_distance_two", "ss-ratio": "ss_ratio"}
+
+
+@pytest.mark.parametrize("family", list(CHECKS_KEY))
+@pytest.mark.parametrize("p,m", [(3, 4), (3, 2)])
+def test_a_family_run_alone_fills_only_its_own_check(capsys, family, p, m):
+    assert cli.main(["verify", "--p", str(p), "--m", str(m), "--checks", family,
+                     "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    filled = [k for k, v in obj["checks"].items() if v is not None]
+    assert filled == ([CHECKS_KEY[family]] if CHECKS_KEY[family] else []), filled
+    ids = {row["id"] for row in obj["lemmas"]}
+    gauss_ids = {"lemma5_square_identity", "lemma5_embedding"}
+    assert ids == {"lemmas": ids - gauss_ids, "gauss": gauss_ids}.get(family, set())
+    assert bool(ids) is (family in ("lemmas", "gauss"))
+
+
+def test_a_new_family_is_one_table_entry(capsys, monkeypatch):
+    # a copy of dual that gates at every m > 2, (5,3) included, where dual is only reported
+    runs = []
+
+    def run(ds, pred):
+        runs.append((ds.ctx.p, ds.ctx.m))
+        return verify.dual_distance_two(ds)
+
+    monkeypatch.setitem(verify.FAMILIES, "dual-everywhere", verify.FAMILIES["dual"]._replace(
+        gate=lambda p, m: m > 2, run=run))
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    # argparse may wrap the list at a hyphen
+    assert "dual,ss-ratio,dual-everywhere" in "".join(capsys.readouterr().out.split())
+
+    def verify_exit(*argv):
+        code = cli.main(["verify", *argv, "--format", "json"])
+        return code, json.loads(capsys.readouterr().out)["checks"]["dual_distance_two"]
+
+    assert verify_exit("--p", "5", "--m", "3", "--checks", "dual") == (0, False)
+    assert runs == []
+    assert verify_exit("--p", "5", "--m", "3", "--checks", "dual-everywhere") == (1, False)
+    assert verify_exit("--p", "3", "--m", "2", "--checks", "dual-everywhere") == (0, False)
+    assert verify_exit("--p", "3", "--m", "4", "--checks", "gauss,dual-everywhere") == (0, True)
+    assert runs == [(5, 3), (3, 2), (3, 4)]
+
+
+@pytest.mark.parametrize("checks,runs", [
+    ("distribution", 2), ("moments", 2), ("ss-ratio", 2), ("lemmas", 2),
+    ("ss-ratio,lemmas,distribution", 2), (",".join(cli.CHECK_FAMILIES), 2), ("gauss,dual", 0)])
+def test_verify_runs_the_transform_once_per_entry_that_reads_it(capsys, monkeypatch,
+                                                                  checks, runs):
+    calls, real = [], codes.transform_Nc
+    monkeypatch.setattr(codes, "transform_Nc", lambda ds: calls.append(ds) or real(ds))
+    assert cli.main(["verify", "--grid", "3,4;5,3", "--checks", checks]) == 0
+    assert len(calls) == runs
 
 
 def test_perfbench_replay_matches_run_verification(tmp_path, monkeypatch):

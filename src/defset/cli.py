@@ -267,10 +267,11 @@ def cmd_gauss(args: argparse.Namespace) -> int:
 
 # --- entry point ----------------------------------------------------------------
 
-def _subcommand(sub, name: str, func, help: str, grid: bool = False, max_q: bool = True,
-                formats=("json", "csv", "text")) -> argparse.ArgumentParser:
-    sp = sub.add_parser(name, help=help)
-    sp.set_defaults(func=func, parser=sp)
+def _fill(sp: argparse.ArgumentParser, name: str, func, help: str, grid: bool = False,
+          max_q: bool = True, formats=("json", "csv", "text"), extra=()):
+    """Give sp the flags of subcommand `name`, its own `extra` ones last; `help` is
+    its line in the full parser's list of subcommands."""
+    sp.set_defaults(command=name, func=func, parser=sp)
     sp.add_argument("--p", type=int, default=None, help="odd prime characteristic")
     sp.add_argument("--m", type=int, default=None, help="extension degree")
     if grid:
@@ -285,7 +286,29 @@ def _subcommand(sub, name: str, func, help: str, grid: bool = False, max_q: bool
     sp.add_argument("--config", type=str, default=None,
                     help="key=value config file, keys named like the flags' dests "
                     "(format=...); flags and env win over it")
+    for flag, kwargs in extra:
+        sp.add_argument(flag, **kwargs)
     return sp
+
+
+def _commands() -> dict[str, dict]:
+    """Each subcommand: the _fill arguments after its name.  Built per parser, so
+    that --checks lists FAMILIES as they stand."""
+    return {
+        "build": dict(func=cmd_build, help="construct D and C_D, export D, enumerate weights",
+                      extra=[("--no-enumerate", dict(action="store_true", help=(
+                          "skip the weight distribution (one DFT over F_p^m)")))]),
+        "predict": dict(func=cmd_predict, max_q=False,
+                        help="closed-form length and weight table, no enumeration"),
+        "verify": dict(func=cmd_verify, grid=True,
+                       help="enumeration vs closed forms, lemma oracles, invariants", extra=[
+                           ("--checks", dict(help="comma list of: " + ",".join(FAMILIES))),
+                           ("--timestamps", dict(action="store_true", help=(
+                               "include runtime_ms in JSON reports (off for byte-stable "
+                               "output)")))]),
+        "gauss": dict(func=cmd_gauss, help="exact Gauss sum vs closed form",
+                      formats=("json", "text")),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,30 +316,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="defset",
         description="Defining-set linear codes from tr(x^2+x) = 0: build, predict, verify.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = _subcommand(sub, "build", cmd_build,
-                     "construct D and C_D, export D, enumerate weights")
-    sp.add_argument("--no-enumerate", action="store_true",
-                    help="skip the weight distribution (one DFT over F_p^m)")
-
-    _subcommand(sub, "predict", cmd_predict,
-                "closed-form length and weight table, no enumeration", max_q=False)
-
-    sp = _subcommand(sub, "verify", cmd_verify,
-                     "enumeration vs closed forms, lemma oracles, invariants", grid=True)
-    sp.add_argument("--checks", type=str, default=None,
-                    help="comma list of: " + ",".join(FAMILIES))
-    sp.add_argument("--timestamps", action="store_true",
-                    help="include runtime_ms in JSON reports (off for byte-stable output)")
-
-    _subcommand(sub, "gauss", cmd_gauss, "exact Gauss sum vs closed form",
-                formats=("json", "text"))
+    for name, kwargs in _commands().items():
+        _fill(sub.add_parser(name, help=kwargs["help"]), name, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name, commands = argv[0] if argv else None, _commands()
+    if name in commands:
+        # only the invoked subcommand's parser; it prints what its subparser would
+        args, unknown = _fill(argparse.ArgumentParser(prog=f"defset {name}"), name,
+                              **commands[name]).parse_known_args(argv[1:])
+    if name not in commands or unknown:
+        # any other command line, and unknown arguments, which the full parser reports
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FieldTooLarge as exc:

@@ -266,15 +266,16 @@ class LemmaCheck:
 
 @dataclass(frozen=True, eq=False)
 class ClassChecks:
-    """The lemma-9 and N_b checks of every realized (tr b^2, tr b) class, as columns.
+    """Checks as columns: the lemma-9 and N_b checks of every realized (tr b^2, tr b)
+    class, or the one check of lemma 10, 16 or 17 at each value of its param.
 
     `params` maps each param name to its column, in the order a row lists them;
-    class k's params are the k-th entries.  closed[k] and oracle[k] are its pairs
-    (B, N_b), and entry j is its row with id ids[j].  A row is a LemmaCheck built
-    when it is read.
+    class k's params are the k-th entries.  closed[k] and oracle[k] are its
+    len(ids) values, (B, N_b) or one, and entry j is its row with id ids[j].  A row
+    is a LemmaCheck built when it is read.
     """
 
-    ids: tuple[str, str]
+    ids: tuple[str, ...]
     params: dict[str, np.ndarray]
     closed: np.ndarray
     oracle: np.ndarray
@@ -287,8 +288,8 @@ class ClassChecks:
         return self.closed.size
 
     def _rows(self, at: np.ndarray):
-        """The rows at positions `at`: row 2k + j is entry j of class k."""
-        k, j = np.divmod(at, 2)
+        """The rows at positions `at`: row len(ids)·k + j is entry j of class k."""
+        k, j = np.divmod(at, len(self.ids))
         params = zip(*(col[k].tolist() for col in self.params.values()))
         for entry, values, c, o, ok in zip(j.tolist(), params, *(col.tolist() for col in (
                 self.closed[k, j], self.oracle[k, j], self.match[k, j]))):
@@ -305,8 +306,8 @@ class LemmaChecks:
     """A report's checks in order, from parts that are LemmaCheck lists or ClassChecks.
 
     Read-only; it iterates, counts its rows and mismatches, and compares equal
-    to a list of LemmaCheck like the list of its rows, but builds a class row
-    only when one is read.
+    to a list of LemmaCheck like the list of its rows, but builds a ClassChecks
+    row only when one is read.
     """
 
     def __init__(self, parts=()):

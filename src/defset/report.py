@@ -117,11 +117,11 @@ def _class_row(names: tuple[str, ...]) -> str:
 
 def _class_block(cc: ClassChecks, indent: str) -> str:
     """The rows of cc as json.dumps(indent=2) writes them in a list at this indent,
-    with the first line not indented: one %-format of a class's rows, entry 0 then
-    entry 1 of its pairs, repeated; a class's params are listed once for both."""
+    with the first line not indented: one %-format of a class's rows, one per id in
+    order, repeated; a class's params are listed once for all of them."""
     row = _class_row(tuple(cc.params))
     pair = ",\n".join(row.replace("<id>", i) for i in cc.ids).replace("\n", "\n" + indent)
-    # each column as the values %s writes, and a classes x 2 array as one list per entry
+    # each column as the values %s writes, and a classes x ids array as one list per entry
     *params, closed, oracle, match = (
         (_JSON_BOOL[col.astype(np.int8)] if col.dtype == bool else col).tolist()
         for col in (*cc.params.values(), cc.closed.T, cc.oracle.T, cc.match.T))

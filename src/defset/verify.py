@@ -32,13 +32,20 @@ def run_lemma_suite(ctx, nc) -> LemmaChecks:
 
     nc[c] = |{x : tr(x^2 + x) = 0 and <c, x> = 0}| for every digit vector c, as
     `transform_Nc` counts them, so N_b = nc[c(b)] and nc[0] = n0.  The lemma-9
-    and N_b checks of the classes stay columns, between lemma 8 and lemma 10.
+    and N_b checks of the classes, and the rows of lemmas 10, 16 and 17, stay columns.
     """
     p, m = ctx.p, ctx.m
     n0 = int(nc[0])
 
     def check(check_id, params, closed, brute):
         return LemmaCheck(check_id, params, closed, brute, closed == brute)
+
+    def column(check_id, name, values, closed):
+        # one row per value of param `name`: its closed form against ORACLES[check_id]
+        brute = ORACLES[check_id]
+        return ClassChecks((check_id,), {name: np.array(values)},
+                           np.array([closed(p, m, v) for v in values])[:, None],
+                           np.array([brute(ctx, **{name: v}) for v in values])[:, None])
 
     lemma8 = [check("lemma8", {}, lemma8_value(p, m), ORACLES["lemma8"](ctx))]
     # every realized class (t2, t1) in ascending order, with its smallest b
@@ -53,18 +60,15 @@ def run_lemma_suite(ctx, nc) -> LemmaChecks:
     classes = ClassChecks(("lemma9", _NB_LEMMA_ID[classify(p, m)]),
                           {"t2": t2, "t1": t1, "disc": disc_of(p, m, t2, t1), "b": reps},
                           class_tables(p, m)[t2, t1], oracle)
-    rest = [check("lemma10", {"a": a}, lemma10_N0a(p, m, a), ORACLES["lemma10"](ctx, a=a))
-            for a in range(p)]
-    rest.append(check("lemma11", {}, list(lemma11_counts(p, m)), list(ORACLES["lemma11"](ctx))))
+    rest = [check("lemma11", {}, list(lemma11_counts(p, m)), list(ORACLES["lemma11"](ctx)))]
     if m % p != 0:
         rest.append(check("lemma12", {}, lemma12_V(p, m), ORACLES["lemma12"](ctx)))
+    parts = [lemma8, classes, column("lemma10", "a", range(p), lemma10_N0a), rest]
     if m % 2 == 1:
-        rest += [check("lemma16", {"c": c}, lemma16_uc(p, m, c), ORACLES["lemma16"](ctx, c=c))
-                 for c in range(p)]
+        parts.append(column("lemma16", "c", range(p), lemma16_uc))
         if m % p == 0:
-            rest += [check("lemma17", {"c": c}, lemma17_vc(p, m, c),
-                           ORACLES["lemma17"](ctx, c=c)) for c in range(1, p)]
-    return LemmaChecks([lemma8, classes, rest])
+            parts.append(column("lemma17", "c", range(1, p), lemma17_vc))
+    return LemmaChecks(parts)
 
 
 def gauss_checks(ctx) -> tuple[CycInt, complex, ClosedGauss, list[LemmaCheck]]:

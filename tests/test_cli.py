@@ -607,6 +607,12 @@ def off_by_one_nb_table(monkeypatch):
     monkeypatch.setattr(verify, "class_tables", corrupted)
 
 
+def off_by_one_lemma10_at_1(monkeypatch):
+    """Make lemma 10's closed value at a = 1 one too many: that row alone fails."""
+    real = verify.lemma10_N0a
+    monkeypatch.setattr(verify, "lemma10_N0a", lambda p, m, a: real(p, m, a) + (a == 1))
+
+
 def assert_verify_json_is_report_dict(capsys, monkeypatch, *argv):
     """`verify --format json` is json.dumps of report_dict of the reports it computed."""
     reports = record_reports(monkeypatch)
@@ -640,15 +646,20 @@ def test_verify_json_writes_the_class_columns_as_report_dict(capsys, monkeypatch
         EXIT_USAGE, "")
 
 
-@pytest.mark.parametrize("force", [swap_at_a_representative, off_by_one_nb_table])
+FORCED_MISMATCHES = [swap_at_a_representative, off_by_one_nb_table, off_by_one_lemma10_at_1]
+
+
+@pytest.mark.parametrize("force", FORCED_MISMATCHES)
 def test_verify_json_writes_mismatched_class_rows_as_report_dict(capsys, monkeypatch, force):
     force(monkeypatch)
     for argv in (["--p", "7", "--m", "4"], ["--grid", "3,4;13,2;5,3"]):
         code, objs = assert_verify_json_is_report_dict(capsys, monkeypatch, *argv)
         assert code == EXIT_MISMATCH
         for obj in objs if isinstance(objs, list) else [objs]:
-            bad = [row["id"] for row in obj["lemmas"] if row["match"] is False]
-            assert bad and (bad[0] == "lemma9") == (force is swap_at_a_representative)
+            bad = [row for row in obj["lemmas"] if row["match"] is False]
+            assert bad and (bad[0]["id"] == "lemma9") == (force is swap_at_a_representative)
+            if force is off_by_one_lemma10_at_1:
+                assert [(row["id"], row["params"]) for row in bad] == [("lemma10", {"a": 1})]
             assert obj["checks"]["match"] is True
 
 
@@ -665,32 +676,36 @@ def count_lemma_checks(monkeypatch) -> list:
 
 
 def test_verify_builds_no_class_row_it_does_not_print(capsys, monkeypatch):
-    # about 2p^2 class rows at (71,2); json and csv build only the O(p) scalar rows
+    # about 2p^2 class rows and p lemma-10 rows at (71,2), p lemma-16 rows at (13,3) and
+    # p - 1 lemma-17 rows at (3,3); json and csv build only the scalar rows
     made = count_lemma_checks(monkeypatch)
     for fmt in ("json", "csv"):
-        made.clear()
-        code, out, _ = run(capsys, "verify", "--p", "71", "--m", "2", "--format", fmt)
-        assert code == EXIT_OK and out
-        assert 0 < len(made) < 3 * 71, fmt
-        assert "lemma9" not in made
+        for p, m in ((71, 2), (13, 3), (3, 3)):
+            made.clear()
+            code, out, _ = run(capsys, "verify", "--p", str(p), "--m", str(m), "--format", fmt)
+            assert code == EXIT_OK and out
+            assert made and set(made) <= {"lemma8", "lemma11", "lemma12", "lemma5_square_identity",
+                                          "lemma5_embedding"}, (fmt, p, m, made)
 
 
-@pytest.mark.parametrize("force", [swap_at_a_representative, off_by_one_nb_table])
+@pytest.mark.parametrize("force", FORCED_MISMATCHES)
 def test_verify_text_builds_only_the_mismatched_class_rows(capsys, monkeypatch, force):
-    # text lists exactly the mismatched rows, and builds no other class row
+    # text lists exactly the mismatched rows, and builds no other column row
     nb_id = verify._NB_LEMMA_ID[classify(71, 2)]
     made = count_lemma_checks(monkeypatch)
     force(monkeypatch)
     reports = record_reports(monkeypatch)
     code, out, _ = run(capsys, "verify", "--p", "71", "--m", "2", "--format", "text")
-    n_class_rows = made.count("lemma9") + made.count(nb_id)
+    n_column_rows = sum(map(made.count, ("lemma9", nb_id, "lemma10")))
     rows = list(reports[0].lemma_checks)
     bad = [c for c in rows if not c.match]
-    assert code == EXIT_MISMATCH and n_class_rows == len(bad)
+    assert code == EXIT_MISMATCH and n_column_rows == len(bad)
     if force is swap_at_a_representative:
         assert [c.id for c in bad] == ["lemma9", nb_id] * (len(bad) // 2) and bad
-    else:
+    elif force is off_by_one_nb_table:
         assert [c.id for c in bad] == [c.id for c in rows if c.id == nb_id]
+    else:
+        assert [(c.id, c.params) for c in bad] == [("lemma10", {"a": 1})]
     assert f"  lemma checks: {len(rows)} run, {len(bad)} mismatched\n" in out
     assert [line for line in out.splitlines() if "MISMATCH" in line] == [
         f"    MISMATCH {c.id} {c.params}: closed={c.closed} oracle={c.oracle}" for c in bad]
@@ -784,6 +799,34 @@ def test_run_verification_api(monkeypatch):
     corrupt_prediction(monkeypatch)
     bad = run_verification(3, 4)
     assert not bad.passed and not bad.match
+
+
+# each exits in argparse: help, usage errors, and command lines naming no subcommand
+PARITY_ARGV = [[], ["bogus"], ["-h", "verify"], ["--p", "3", "verify"]] + [
+    [name, *tail] for name in ("build", "predict", "verify", "gauss")
+    for tail in (["--help"], ["--bogus"], ["--format", "xml"], ["--max-q", "0"], ["--p"])
+    if (name, tail[0]) != ("predict", "--max-q")]  # predict takes no --max-q
+
+
+def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch):
+    # main builds only the invoked subcommand's parser, with the full parser's
+    # exit code, help, usage and errors
+    def outcome(parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    for columns in ("80", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in PARITY_ARGV:
+            assert outcome(main, argv) == outcome(cli.build_parser().parse_args, argv), argv
+
+    def refuse():
+        raise AssertionError("main built the full parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run(capsys, "verify", "--p", "3", "--m", "3")[0] == EXIT_OK
 
 
 def test_subcommands_import_no_numpy_submodule():

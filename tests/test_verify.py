@@ -5,12 +5,13 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from defset import cli, closed_form, codes, report, verify
 from defset.closed_form import (ORACLES, THEOREM_NUMBER, classify, lemma10_N0a,
                                 realized_b_classes)
-from defset.codes import count_Nb, defining_set, transform_Nc
+from defset.codes import LemmaChecks, count_Nb, defining_set, transform_Nc
 from defset.fields import DEFAULT_MAX_Q, field, is_prime
 from defset.verify import _NB_LEMMA_ID, FAMILIES, run_lemma_suite, run_verification
 
@@ -202,6 +203,20 @@ def test_lemma_checks_read_like_the_list_of_their_rows():
         changed[i] = replace(rows[i], oracle=-1, match=False)
         assert checks != changed and changed != checks
     assert checks != rows[:-1] and checks != rows + rows[:1]
+    # a one-id part reads the same way: lemma 10's row at a is its row a
+    part = next(part for part in checks.parts if getattr(part, "ids", None) == ("lemma10",))
+    tens = [c for c in rows if c.id == "lemma10"]
+    assert len(part) == len(tens) == 7 and list(part) == tens
+    assert LemmaChecks([part]) == tens and tens == LemmaChecks([part])
+    assert [c.params for c in tens] == [{"a": a} for a in range(7)]
+    assert all(c.closed == lemma10_N0a(7, 3, c.params["a"]) == c.oracle for c in tens)
+    assert list(part._rows(np.array([5, 2]))) == [tens[5], tens[2]]
+    assert part.mismatches() == [] and LemmaChecks([part]).all_match()
+    # a closed value off by one at a = 1 is its one mismatch, and the part no longer
+    # equals its old rows
+    off = replace(part, closed=part.closed + (np.arange(7) == 1)[:, None])
+    assert off.mismatches() == [replace(tens[1], closed=tens[1].closed + 1, match=False)]
+    assert LemmaChecks([off]) != tens and not LemmaChecks([off]).all_match()
     # a selection without lemmas or gauss has no rows
     empty = run_verification(7, 3, checks=("distribution",)).lemma_checks
     assert not empty and len(empty) == 0 and empty == [] and [] == empty

@@ -16,7 +16,7 @@ import sys
 
 from .codes import (WeightDistribution, defining_set, distribution_csv, export_defining_set,
                     transform_weight_distribution, weight_enumerator_string)
-from .closed_form import THEOREM_NUMBER, classify, predicted_distribution
+from .closed_form import THEOREM_NUMBER, classify, predicted_distribution, require_m2
 from .errors import DefSetError, FieldTooLarge, NonIntegralTableEntry
 from .fields import DEFAULT_MAX_Q, _check_size, field, require_odd_prime
 # report_dict is also read as cli.report_dict, by perfbench/replay.py
@@ -221,10 +221,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     st = _Settings(args)
     if args.timestamps and st.fmt != "json":
         raise DefSetError("--timestamps needs --format json, the only format with runtime_ms")
-    # refuse the grid at its first bad entry before verifying any entry
+    # refuse the grid at its first bad entry before verifying any entry; past these
+    # checks an entry's table is built once, by its run
     for p, m in st.entries:
         _check_size(p, m, st.max_q)
-        predicted_distribution(p, m)
+        require_m2(p, m)
     reports = [run_verification(p, m, max_q=st.max_q, checks=st.checks)
                for p, m in st.entries]
 

@@ -47,8 +47,9 @@ def classify(p: int, m: int) -> CaseTag:
 class BClass:
     """Case data of an element b: t2 = tr(b^2), t1 = tr(b).
 
-    disc records whether (tr b)^2 = m * tr(b^2) in F_p; it only drives a case
-    split when p does not divide m.
+    disc records whether (tr b)^2 = m * tr(b^2) in F_p.  It drives the odd-m
+    split of lemma9_B and lemma_Nb_predicted in both regimes (when p | m it
+    means t1 = 0); even m reads eta(t1^2 - m*t2), whose eta(0) = 0 covers it.
     """
 
     t2: int
@@ -125,58 +126,35 @@ def GGbar_odd(p: int, m: int) -> int:
 
 def lemma8_value(p: int, m: int) -> int:
     """Sum over y in F_p*, x in F_q of zeta_p^(y*tr(x^2+x)), in closed form."""
-    tag = classify(p, m)
-    if tag is CaseTag.EVEN_DIVIDES:
-        return (p - 1) * G_even(p, m)
-    if tag is CaseTag.EVEN_COPRIME:
-        return -G_even(p, m)
-    if tag is CaseTag.ODD_DIVIDES:
-        return 0
-    return legendre(-m, p) * GGbar_odd(p, m)
+    if m % 2:
+        return legendre(-m, p) * GGbar_odd(p, m)
+    return (p - 1 if m % p == 0 else -1) * G_even(p, m)
 
 
 def lemma9_B(p: int, m: int, cls: BClass) -> int:
     """Closed value of B = sum over y,z in F_p*, x in F_q of chi(y*x^2 + y*x + b*z*x).
 
-    The value depends on b only through its BClass.
+    The value depends on b only through its BClass.  For odd m, eta(-m) = 0
+    when p | m, which turns theorem 4's values into theorem 3's.
     """
-    tag = classify(p, m)
     t2, t1 = cls.t2 % p, cls.t1 % p
-    if tag in (CaseTag.EVEN_DIVIDES, CaseTag.EVEN_COPRIME):
-        G = G_even(p, m)
-        gbar2 = Gbar_squared(p)
-        if tag is CaseTag.EVEN_DIVIDES:
-            if t2 == 0 and t1 == 0:
-                return (p - 1) ** 2 * G
-            if t2 == 0 or t1 == 0:
-                return -(p - 1) * G
-            return legendre(-1, p) * G * gbar2 - (p - 1) * G
+    if m % 2:
+        GG, L = GGbar_odd(p, m), legendre(-m, p)
         if t2 == 0:
-            return -(p - 1) * G if t1 == 0 else G
-        if t1 == 0:
-            return legendre(m * t2, p) * G * gbar2 + G
-        if cls.disc:
-            return G
-        return legendre(m * t2 - t1 * t1, p) * G * gbar2 + G
-    GG = GGbar_odd(p, m)
-    if tag is CaseTag.ODD_DIVIDES:
-        if t2 == 0:
-            return 0
-        if t1 == 0:
-            return legendre(-t2, p) * (p - 1) * GG
-        return -legendre(-t2, p) * GG
-    L = legendre(-m, p)
-    if t2 == 0:
-        return L * (p - 1) * GG if t1 == 0 else -L * GG
-    if t1 == 0:
-        # grouping fixed against the enumeration oracle: -(eta(-t2) + eta(-m)) * G*Gbar
-        return -(legendre(-t2, p) + L) * GG
-    if cls.disc:
-        return (legendre(-t2, p) * (p - 1) - L) * GG
-    return -(legendre(-t2, p) + L) * GG
+            return L * (p - 1 if t1 == 0 else -1) * GG
+        # grouping fixed against the enumeration oracle: -(eta(-t2) + eta(-m)) * G*Gbar off disc
+        return (legendre(-t2, p) * (p - 1 if cls.disc else -1) - L) * GG
+    G = G_even(p, m)
+    if t2 and m % p:
+        # eta(0) = 0 on the disc cells
+        return (legendre(t1 * t1 - m * t2, p) * p + 1) * G
+    # where m*t2 = 0 in F_p the sums over y and z in F_p* split, into p*[m = t2 = 0] - 1
+    # and p*[t1 = 0] - 1
+    return (p - 1 if t2 == 0 and m % p == 0 else -1) * (p - 1 if t1 == 0 else -1) * G
 
 
-def _require_m2(p: int, m: int) -> int:
+def require_m2(p: int, m: int) -> int:
+    """p^(m-2), after checking that m >= 2, which every table and count form needs."""
     if m < 2:
         raise CaseMismatch(f"closed form needs m >= 2, got m={m}")
     return p ** (m - 2)
@@ -184,47 +162,29 @@ def _require_m2(p: int, m: int) -> int:
 
 def lemma10_N0a(p: int, m: int, a: int) -> int:
     """|{x in F_q : tr(x^2) = 0 and tr(x) = a}| in closed form."""
-    pm2 = _require_m2(p, m)
-    tag = classify(p, m)
-    if a % p != 0:
-        if tag in (CaseTag.EVEN_DIVIDES, CaseTag.ODD_DIVIDES):
-            return pm2
-        if tag is CaseTag.EVEN_COPRIME:
-            return pm2 + _exact_div(G_even(p, m), p)
-        return pm2 - _exact_div(legendre(-m, p) * GGbar_odd(p, m), p * p)
-    if tag is CaseTag.EVEN_DIVIDES:
-        return pm2 + _exact_div((p - 1) * G_even(p, m), p)
-    if tag in (CaseTag.EVEN_COPRIME, CaseTag.ODD_DIVIDES):
-        return pm2
-    return pm2 + _exact_div(legendre(-m, p) * (p - 1) * GGbar_odd(p, m), p * p)
+    pm2 = require_m2(p, m)
+    a %= p
+    if m % 2:
+        t = _exact_div(legendre(-m, p) * GGbar_odd(p, m), p * p)
+        return pm2 + (p - 1 if a == 0 else -1) * t
+    if m % p:
+        return pm2 + (a != 0) * _exact_div(G_even(p, m), p)
+    return pm2 + (a == 0) * _exact_div((p - 1) * G_even(p, m), p)
 
 
 def lemma11_counts(p: int, m: int) -> tuple[int, int, int]:
-    """(|N(0, !=0)|, |N(!=0, !=0)|, |N(!=0, 0)|) for the (tr(x^2), tr(x)) partition."""
-    pm2 = _require_m2(p, m)
-    tag = classify(p, m)
-    if tag in (CaseTag.EVEN_DIVIDES, CaseTag.ODD_DIVIDES):
-        n_0_nz = (p - 1) * pm2
-        n_nz_nz = (p - 1) ** 2 * pm2
-        if tag is CaseTag.EVEN_DIVIDES:
-            n_nz_0 = (p - 1) * pm2 - _exact_div((p - 1) * G_even(p, m), p)
-        else:
-            n_nz_0 = (p - 1) * pm2
-        return n_0_nz, n_nz_nz, n_nz_0
-    if tag is CaseTag.EVEN_COPRIME:
-        gp = _exact_div(G_even(p, m), p)
-        return ((p - 1) * (pm2 + gp),
-                (p - 1) ** 2 * pm2 - (p - 1) * gp,
-                (p - 1) * pm2)
-    t = _exact_div(legendre(-m, p) * GGbar_odd(p, m), p * p)
-    return ((p - 1) * (pm2 - t),
-            (p - 1) ** 2 * pm2 + (p - 1) * t,
-            (p - 1) * pm2 - (p - 1) * t)
+    """(|N(0, !=0)|, |N(!=0, !=0)|, |N(!=0, 0)|) for the (tr(x^2), tr(x)) partition.
+
+    Each level set tr(x) = t has p^(m-1) elements, and lemma 10 counts its part
+    with tr(x^2) = 0, which is the same for every t != 0.
+    """
+    n01, n00 = lemma10_N0a(p, m, 1), lemma10_N0a(p, m, 0)
+    return (p - 1) * n01, (p - 1) * (p ** (m - 1) - n01), p ** (m - 1) - n00
 
 
 def lemma12_V(p: int, m: int) -> int:
     """|{x : tr(x) != 0 and (tr x)^2 = m * tr(x^2)}|; defined only for p coprime to m."""
-    pm2 = _require_m2(p, m)
+    pm2 = require_m2(p, m)
     if m % p == 0:
         raise CaseMismatch(f"the discriminant count needs p coprime to m, got p={p}, m={m}")
     if m % 2 == 0:
@@ -234,39 +194,25 @@ def lemma12_V(p: int, m: int) -> int:
 
 
 def lemma_Nb_predicted(p: int, m: int, cls: BClass) -> int:
-    """Predicted |N_b| = |{x : tr(x^2+x) = 0 and tr(b*x) = 0}| for b in cls."""
-    pm2 = _require_m2(p, m)
-    tag = classify(p, m)
+    """Predicted |N_b| = |{x : tr(x^2+x) = 0 and tr(b*x) = 0}| for b in cls.
+
+    For odd m, a disc cell with t2 != 0 has eta(-t2) = eta(-m) when p does not
+    divide m, and t1 = 0 when it does.
+    """
+    pm2 = require_m2(p, m)
     t2, t1 = cls.t2 % p, cls.t1 % p
-    if tag is CaseTag.EVEN_DIVIDES:
-        gp = _exact_div(G_even(p, m), p)
-        if t2 == 0 and t1 == 0:
-            return pm2 + (p - 1) * gp
-        if t2 != 0 and t1 != 0:
-            return pm2 + gp
-        return pm2
-    if tag is CaseTag.EVEN_COPRIME:
-        gp = _exact_div(G_even(p, m), p)
+    if m % 2:
+        GG = GGbar_odd(p, m)
         if t2 == 0:
-            return pm2 - gp if t1 == 0 else pm2
-        if cls.disc:
-            return pm2
-        # eta(m*t2 - t1^2) * G * Gbar^2 / p^2 = eta(m*t2 - t1^2) * eta(-1) * G / p
-        return pm2 + legendre(m * t2 - t1 * t1, p) * legendre(-1, p) * gp
-    if tag is CaseTag.ODD_DIVIDES:
-        t = _exact_div(GGbar_odd(p, m), p * p)
-        if t2 == 0:
-            return pm2
-        s = legendre(-t2, p)
-        return pm2 + s * (p - 1) * t if t1 == 0 else pm2 - s * t
-    GG = GGbar_odd(p, m)
-    t = _exact_div(GG, p * p)
-    L = legendre(-m, p)
-    if t2 == 0:
-        return pm2 + L * _exact_div(GG, p) if t1 == 0 else pm2
-    if t1 != 0 and cls.disc:
-        return pm2 + L * (p - 1) * t
-    return pm2 - legendre(-t2, p) * t
+            return pm2 + (t1 == 0) * _exact_div(legendre(-m, p) * GG, p)
+        return pm2 + legendre(-t2, p) * (p - 1 if cls.disc else -1) * _exact_div(GG, p * p)
+    gp = _exact_div(G_even(p, m), p)
+    if t2 and m % p:
+        # eta(0) = 0 on the disc cells
+        return pm2 + legendre(t1 * t1 - m * t2, p) * gp
+    if t2:
+        return pm2 + (t1 != 0) * gp
+    return pm2 + (t1 == 0) * (p - 1 if m % p == 0 else -1) * gp
 
 
 def class_tables(p: int, m: int) -> np.ndarray:
@@ -300,29 +246,26 @@ def lemma16_uc(p: int, m: int, c: int) -> int:
     """u_c = |{x : tr(x^2) = c}| for odd m, with eta(0) = 0."""
     if m % 2 == 0:
         raise CaseMismatch(f"u_c closed form needs odd m, got m={m}")
-    shift = legendre(-1, p) * legendre(c, p) * _exact_div(GGbar_odd(p, m), p)
-    return p ** (m - 1) + shift
+    return p ** (m - 1) + legendre(-c, p) * _exact_div(GGbar_odd(p, m), p)
 
 
 def lemma17_vc(p: int, m: int, c: int) -> int:
-    """v_c = |{x : tr(x^2) = c and tr(x) = 0}| for odd m with p | m and c != 0."""
+    """v_c = |{x : tr(x^2) = c and tr(x) = 0}| for odd m with p | m and c != 0.
+
+    There each of the p - 1 level sets tr(x) = t != 0 holds p^(m-2) elements of
+    u_c, so v_c = u_c - (p - 1)*p^(m-2).
+    """
     if m % 2 == 0 or m % p != 0 or c % p == 0:
         raise CaseMismatch(f"v_c needs odd m, p | m and c != 0; got p={p}, m={m}, c={c}")
-    shift = legendre(-1, p) * legendre(c, p) * _exact_div(GGbar_odd(p, m), p)
-    return p ** (m - 2) + shift
+    return lemma16_uc(p, m, c) - (p - 1) * p ** (m - 2)
 
 
 # --- predicted code parameters -----------------------------------------------
 
 def predicted_length(p: int, m: int) -> int:
-    tag = classify(p, m)
-    if tag is CaseTag.EVEN_DIVIDES:
-        return p ** (m - 1) - 1 + _exact_div((p - 1) * G_even(p, m), p)
-    if tag is CaseTag.EVEN_COPRIME:
-        return p ** (m - 1) - _exact_div(G_even(p, m), p) - 1
-    if tag is CaseTag.ODD_DIVIDES:
-        return p ** (m - 1) - 1
-    return p ** (m - 1) + _exact_div(legendre(-m, p) * GGbar_odd(p, m), p) - 1
+    if m % 2:
+        return p ** (m - 1) + _exact_div(legendre(-m, p) * GGbar_odd(p, m), p) - 1
+    return p ** (m - 1) + _exact_div((p - 1 if m % p == 0 else -1) * G_even(p, m), p) - 1
 
 
 @dataclass(frozen=True)
@@ -344,7 +287,7 @@ class PredictedDistribution:
 
 
 def _table_rows(p: int, m: int, tag: CaseTag) -> list[tuple[int, int]]:
-    pm2 = _require_m2(p, m)
+    pm2 = require_m2(p, m)
     base = (p - 1) * pm2
     if tag is CaseTag.EVEN_DIVIDES:
         gp = _exact_div(G_even(p, m), p)

@@ -137,12 +137,10 @@ class WeightDistribution:
         return f"WeightDistribution({self.entries})"
 
 
-def brute_weight_distribution(ds: DefiningSet, cap: int | None = None) -> WeightDistribution:
+def brute_weight_distribution(ds: DefiningSet) -> WeightDistribution:
     """Exact distribution over all p^m codewords: every coordinate of every c_b, as the
     rows of digits(b) @ T mod p (`codeword`) for blocks of about 2^21 products."""
     ctx = ds.ctx
-    if cap is not None and ctx.q > cap:
-        raise FieldTooLarge(f"p^m = {ctx.q} exceeds the enumeration cap {cap}")
     # float64 is exact: each coordinate sums m products of a digit and a T entry,
     # both below p, so it is an integer below m*p^2 < 2^53 for every enumerable field
     basis = ds.trace_basis.astype(np.float64)

@@ -57,7 +57,7 @@ def test_criterion_2_prediction_grid():
     for p, m in GRID:
         ds = defining_set(field(p, m))
         pred = predicted_distribution(p, m)
-        brute = brute_weight_distribution(ds, cap=20_000)
+        brute = brute_weight_distribution(ds)
         ok &= pred.with_zero_word() == brute and pred.n == ds.n
     tags = {classify(p, m) for p, m in GRID}
     ok &= tags == set(CaseTag)

@@ -456,6 +456,20 @@ def test_bad_grid_entry_is_refused_before_any_verification(capsys, monkeypatch, 
     assert calls == []
 
 
+def test_verify_builds_each_entry_table_once(capsys, monkeypatch):
+    # the refuse-first loop checks m >= 2 itself; only the entry's run builds its table
+    real, calls = cli.predicted_distribution, []
+
+    def counted(p, m):
+        calls.append((p, m))
+        return real(p, m)
+
+    monkeypatch.setattr(cli, "predicted_distribution", counted)
+    monkeypatch.setattr(verify, "predicted_distribution", counted)
+    assert run(capsys, "verify", "--grid", "3,3;5,2;3,4")[0] == EXIT_OK
+    assert calls == [(3, 3), (5, 2), (3, 4)]
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "predict")[0] == EXIT_USAGE
     assert run(capsys, "verify", "--grid", "nonsense")[0] == EXIT_USAGE

@@ -151,6 +151,62 @@ def test_lengths_and_class_values_follow_from_lemmas_8_and_9_past_enumeration():
     assert (tables, cells) == (1043, 9021)
 
 
+def _closed_trace_pairs(p, m):
+    """H[s, t] = |{x : tr(x^2) = s, tr(x) = t}| in closed form, as p^(m-2) + unit * K[s, t].
+
+    Completing the square in sum_x zeta^tr(y x^2 + z x) and summing z with the prime-field
+    Gauss sum gives four cases, with eta(0) = 0 (Lidl & Niederreiter, ch. 5).  K is a small
+    p x p integer array read off one Legendre table of F_p; unit is a Python int.
+    """
+    eta = np.array([legendre(a, p) for a in range(p)])
+    s, t = np.arange(p)[:, None], np.arange(p)
+    disc = (t * t - m % p * s) % p
+    if m % 2 == 0 and m % p:
+        unit, k = G_even(p, m), eta[disc]
+    elif m % 2 == 0:
+        unit, k = G_even(p, m), (t == 0) * (p * (s == 0) - 1)
+    elif m % p:
+        unit, k = legendre(-m, p) * GGbar_odd(p, m) // p, p * (disc == 0) - 1
+    else:
+        unit, k = GGbar_odd(p, m), (t == 0) * eta[-s % p]
+    assert unit % p == 0
+    return p ** (m - 2), unit // p, k
+
+
+def test_lemmas_10_to_17_are_marginals_of_the_closed_trace_pair_table_past_enumeration():
+    # lemma 10 is H[0, a], lemma 11 H's three blocks off (0, 0), lemma 12 its disc cells
+    # with t != 0, lemma 16 its row sums and lemma 17 its column t = 0; closed forms only
+    tables = 0
+    for p, m in closed_form_sweep(2):
+        pm2, unit, k = _closed_trace_pairs(p, m)
+        nz = np.arange(p) != 0
+
+        def total(cells):
+            return int(cells.sum()) * pm2 + int(k[cells].sum()) * unit
+
+        assert total(np.ones((p, p), dtype=bool)) == p ** m, (p, m)
+        assert [lemma10_N0a(p, m, a) for a in range(p)] == [pm2 + unit * v for v in k[0].tolist()]
+        assert lemma11_counts(p, m) == (total(~nz[:, None] & nz), total(nz[:, None] & nz),
+                                        total(nz[:, None] & ~nz)), (p, m)
+        if m % p:
+            assert lemma12_V(p, m) == total(disc_of(p, m, np.arange(p)[:, None], np.arange(p))
+                                            & nz), (p, m)
+        if m % 2:
+            rows = k.sum(axis=1).tolist()
+            assert [lemma16_uc(p, m, c) for c in range(p)] == [p * pm2 + unit * v for v in rows]
+        if m % 2 and m % p == 0:
+            assert ([lemma17_vc(p, m, c) for c in range(1, p)]
+                    == [pm2 + unit * v for v in k[1:, 0].tolist()]), (p, m)
+        tables += 1
+    assert tables == 1043
+
+
+def test_closed_trace_pair_table_is_the_enumerated_one():
+    for p, m in SMALL_FIELDS:
+        pm2, unit, k = _closed_trace_pairs(p, m)
+        assert (field(p, m).trace_pair_counts == pm2 + unit * k).all(), (p, m)
+
+
 def test_tables_reject_m1():
     with pytest.raises((NonIntegralTableEntry, CaseMismatch)):
         predicted_distribution(3, 1)

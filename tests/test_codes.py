@@ -12,7 +12,7 @@ from defset.codes import (DefiningSet, WeightDistribution, brute_weight_distribu
                           power_moment_check, secret_sharing_ratio, transform_Nc,
                           transform_weight_distribution, weight_of,
                           weight_enumerator_string)
-from defset.errors import EmptyDistribution, FieldTooLarge
+from defset.errors import EmptyDistribution
 from defset.fields import DEFAULT_MAX_Q, FieldCtx, field, irreducible_polys, is_prime
 
 
@@ -107,12 +107,6 @@ def test_brute_distribution_golden(p, m, expected):
     dist = brute_weight_distribution(defining_set(field(p, m)))
     assert dist.entries == expected
     assert dist.total == p ** m
-
-
-def test_brute_distribution_cap():
-    ds = defining_set(field(3, 5))
-    with pytest.raises(FieldTooLarge):
-        brute_weight_distribution(ds, cap=100)
 
 
 @pytest.mark.parametrize("p,m", [(3, 4), (7, 3)])

@@ -14,8 +14,8 @@ from .closed_form import (BClass, CaseTag, G_even, GGbar_odd, Gbar_squared,
 from .codes import (DefiningSet, VerifyReport, WeightDistribution,
                     brute_weight_distribution, codeword, count_Nb, defining_set,
                     distribution_csv, dual_distance_two, export_defining_set,
-                    power_moment_check, secret_sharing_ratio,
-                    transform_weight_distribution, weight_of, weight_enumerator_string)
+                    power_moment_check, secret_sharing_ratio, weight_of,
+                    weight_enumerator_string)
 from .cyclotomic import (ClosedGauss, CycInt, cyc_root, embed_complex,
                          gauss_closed, gauss_sum_exact)
 from .errors import (CaseMismatch, DefSetError, DegreeTooSmall, EmptyDistribution,
@@ -35,6 +35,5 @@ __all__ = [
     "is_irreducible", "legendre", "lemma10_N0a", "lemma11_counts", "lemma12_V",
     "lemma16_uc", "lemma17_vc", "lemma8_value", "lemma9_B", "lemma_Nb_predicted",
     "oracle", "power_moment_check", "predicted_distribution", "predicted_length",
-    "realized_b_classes", "secret_sharing_ratio", "transform_weight_distribution",
-    "weight_enumerator_string", "weight_of",
+    "realized_b_classes", "secret_sharing_ratio", "weight_enumerator_string", "weight_of",
 ]

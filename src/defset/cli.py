@@ -15,7 +15,7 @@ import os
 import sys
 
 from .codes import (WeightDistribution, defining_set, distribution_csv, export_defining_set,
-                    transform_weight_distribution, weight_enumerator_string)
+                    weight_enumerator_string)
 from .closed_form import THEOREM_NUMBER, classify, predicted_distribution, require_m2
 from .errors import DefSetError, FieldTooLarge, NonIntegralTableEntry
 from .fields import DEFAULT_MAX_Q, _check_size, field, require_odd_prime
@@ -153,7 +153,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     p, m = st.entries[0]
     ctx = field(p, m, st.max_q)
     ds = defining_set(ctx)
-    dist = None if args.no_enumerate else transform_weight_distribution(ds)
+    dist = None if args.no_enumerate else ds.weight_distribution
     k = ds.dimension
 
     if dist is not None:

@@ -48,8 +48,8 @@ class BClass:
     """Case data of an element b: t2 = tr(b^2), t1 = tr(b).
 
     disc records whether (tr b)^2 = m * tr(b^2) in F_p.  It drives the odd-m
-    split of lemma9_B and lemma_Nb_predicted in both regimes (when p | m it
-    means t1 = 0); even m reads eta(t1^2 - m*t2), whose eta(0) = 0 covers it.
+    split of lemma9_B, and so of N_b, in both regimes (when p | m it means
+    t1 = 0); even m reads eta(t1^2 - m*t2), whose eta(0) = 0 covers it.
     """
 
     t2: int
@@ -193,37 +193,32 @@ def lemma12_V(p: int, m: int) -> int:
     return (p - 1) * pm2 + (p - 1) ** 2 * t
 
 
-def lemma_Nb_predicted(p: int, m: int, cls: BClass) -> int:
-    """Predicted |N_b| = |{x : tr(x^2+x) = 0 and tr(b*x) = 0}| for b in cls.
+def _nb_from_B(p: int, pn0: int, B: int) -> int:
+    """|N_b| for b != 0 from lemma 9's B_b, with pn0 = p * n0 = q + lemma 8.
 
-    For odd m, a disc cell with t2 != 0 has eta(-t2) = eta(-m) when p does not
-    divide m, and t1 = 0 when it does.
+    Summing zeta_p^(y*tr(x^2 + x) + z*tr(b*x)) over y, z in F_p and x in F_q
+    gives p^2 * N_b.  The terms with z = 0 give p * n0, those with y = 0 and
+    z != 0 cancel (tr(b*x) is balanced), and the rest are B_b.
     """
-    pm2 = require_m2(p, m)
-    t2, t1 = cls.t2 % p, cls.t1 % p
-    if m % 2:
-        GG = GGbar_odd(p, m)
-        if t2 == 0:
-            return pm2 + (t1 == 0) * _exact_div(legendre(-m, p) * GG, p)
-        return pm2 + legendre(-t2, p) * (p - 1 if cls.disc else -1) * _exact_div(GG, p * p)
-    gp = _exact_div(G_even(p, m), p)
-    if t2 and m % p:
-        # eta(0) = 0 on the disc cells
-        return pm2 + legendre(t1 * t1 - m * t2, p) * gp
-    if t2:
-        return pm2 + (t1 != 0) * gp
-    return pm2 + (t1 == 0) * (p - 1 if m % p == 0 else -1) * gp
+    return _exact_div(pn0 + B, p * p)
+
+
+def lemma_Nb_predicted(p: int, m: int, cls: BClass) -> int:
+    """Predicted |N_b| = |{x : tr(x^2+x) = 0 and tr(b*x) = 0}| for b in cls (lemmas 13-15, 18)."""
+    require_m2(p, m)
+    return _nb_from_B(p, p ** m + lemma8_value(p, m), lemma9_B(p, m, cls))
 
 
 def class_tables(p: int, m: int) -> np.ndarray:
     """(lemma 9's B, the case's N_b lemma) of every class (t2, t1), as a p x p x 2 int64 array.
 
-    `lemma9_B` and `lemma_Nb_predicted` depend on a class only through its case
-    key: t2 = 0, t1 = 0, eta(-t2) and eta(m*t2 - t1^2), with eta from one
-    Legendre table of F_p.  Each is evaluated once per realized key, at one
-    cell with that key, and the pairs are placed by one index.  No field is
-    built and no count is read.
+    `lemma9_B` depends on a class only through its case key: t2 = 0, t1 = 0,
+    eta(-t2) and eta(m*t2 - t1^2), with eta from one Legendre table of F_p.
+    It is evaluated once per realized key, at one cell with that key, N_b is
+    read off that B in Python ints as `lemma_Nb_predicted` reads it, and the
+    pairs are placed by one index.  No field is built and no count is read.
     """
+    require_m2(p, m)
     eta = np.full(p, -1, dtype=np.int64)
     eta[0] = 0
     eta[np.arange(1, p) ** 2 % p] = 1
@@ -234,11 +229,12 @@ def class_tables(p: int, m: int) -> np.ndarray:
     idx = ((2 * (t2 == 0) + (t1 == 0)) * 3 + eta_t2 + 1) * 3 + eta_d + 1
     cell = np.full(36, -1, dtype=np.int64)
     cell[idx] = np.arange(p * p).reshape(p, p)
+    pn0 = p ** m + lemma8_value(p, m)
     values = np.zeros((36, 2), dtype=np.int64)
     for key in np.flatnonzero(cell >= 0).tolist():
         c2, c1 = divmod(int(cell[key]), p)
-        cls = BClass(c2, c1, disc_of(p, m, c2, c1))
-        values[key] = lemma9_B(p, m, cls), lemma_Nb_predicted(p, m, cls)
+        B = lemma9_B(p, m, BClass(c2, c1, disc_of(p, m, c2, c1)))
+        values[key] = B, _nb_from_B(p, pn0, B)
     return values[idx]
 
 
@@ -263,9 +259,8 @@ def lemma17_vc(p: int, m: int, c: int) -> int:
 # --- predicted code parameters -----------------------------------------------
 
 def predicted_length(p: int, m: int) -> int:
-    if m % 2:
-        return p ** (m - 1) + _exact_div(legendre(-m, p) * GGbar_odd(p, m), p) - 1
-    return p ** (m - 1) + _exact_div((p - 1 if m % p == 0 else -1) * G_even(p, m), p) - 1
+    """n = n0 - 1, where p * n0 = q + lemma 8 (x = 0 lies in D0 but not in D)."""
+    return _exact_div(p ** m + lemma8_value(p, m), p) - 1
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ class DefiningSet:
 
     @cached_property
     def weight_distribution(self) -> WeightDistribution:
+        """Exact distribution over all p^m codewords from one DFT over F_p^m (`transform_Nc`)."""
         return distribution_from_Nb(self, self.nc)
 
     @property
@@ -196,11 +197,6 @@ def distribution_from_Nb(ds: DefiningSet, nb: np.ndarray) -> WeightDistribution:
     weights = ds.n0 - nb
     weights[0] = 0
     return WeightDistribution.from_weights(weights)
-
-
-def transform_weight_distribution(ds: DefiningSet) -> WeightDistribution:
-    """Exact distribution over all p^m codewords from one DFT over F_p^m (`transform_Nc`)."""
-    return ds.weight_distribution
 
 
 def power_moment_check(dist: WeightDistribution, p: int, m: int, n: int) -> tuple[bool, bool]:

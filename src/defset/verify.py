@@ -112,12 +112,11 @@ FAMILIES = {
     # the power moments are derived under the theorem hypothesis m > 2
     "moments": Family(lambda p, m: m > 2, "moment_checks", lambda ds, pred: (
         power_moment_check(ds.weight_distribution, ds.ctx.p, ds.ctx.m, ds.n)), all),
-    # theorems 2 and 4 claim dual distance two.  In the four-weight
-    # degeneration (m = 3 with p = 2 mod 3) the only solution of
-    # tr(x) = tr(x^2) = 0 is x = 0, so no two coordinates of D are
-    # proportional and the dual distance is 3: there it is only reported.
-    "dual": Family(lambda p, m: (m > 2 and THEOREM_NUMBER[classify(p, m)] in (2, 4)
-                                 and not (m == 3 and p % 3 == 2)),
+    # theorems 2 and 4 (p does not divide m) claim dual distance two: two coordinates
+    # of D are proportional iff some x != 0 has tr(x) = tr(x^2) = 0, lemma 10's N(0, 0) > 1.
+    # In the four-weight degeneration (m = 3 with p = 2 mod 3) N(0, 0) = 1, no two
+    # coordinates are proportional and the dual distance is 3: there it is only reported.
+    "dual": Family(lambda p, m: m > 2 and m % p != 0 and lemma10_N0a(p, m, 0) > 1,
                    "dual_distance_two", lambda ds, pred: dual_distance_two(ds), bool),
     # theorems 1, 2, 3, 4 claim w_min/w_max > (p-1)/p from m = 4, 6, 5, 5 on
     "ss-ratio": Family(lambda p, m: m >= {1: 4, 2: 6, 3: 5, 4: 5}[THEOREM_NUMBER[classify(p, m)]],

@@ -1,6 +1,5 @@
 """Closed-form evaluators against frozen values and enumeration oracles."""
 
-import itertools
 import math
 import random
 import tracemalloc
@@ -14,7 +13,7 @@ from defset.closed_form import (ORACLES, BClass, CaseTag, G_even, GGbar_odd, Gba
                                 lemma16_uc, lemma17_vc, lemma_Nb_predicted, oracle,
                                 predicted_distribution, predicted_length, realized_b_classes)
 from defset.codes import (brute_weight_distribution, count_Nb, defining_set, dft_prime,
-                          distribution_from_Nb, transform_Nc, transform_weight_distribution)
+                          distribution_from_Nb, transform_Nc)
 from defset.cyclotomic import CycInt, gauss_closed, gauss_sum_exact
 from defset.errors import CaseMismatch, FieldTooLarge, NonIntegralTableEntry
 from defset.fields import DEFAULT_MAX_Q, FieldCtx, field, is_prime, legendre
@@ -125,29 +124,65 @@ def test_second_pless_moment_on_closed_form_tables():
     assert tables == 998
 
 
+def _exact(a, b):
+    quot, rem = divmod(a, b)
+    assert rem == 0, (a, b)
+    return quot
+
+
+def _explicit_length(p, m):
+    """The paper's n for m >= 2, split by regime as theorems 1-4 state it."""
+    if m % 2:
+        return p ** (m - 1) + _exact(legendre(-m, p) * GGbar_odd(p, m), p) - 1
+    return p ** (m - 1) + _exact((p - 1 if m % p == 0 else -1) * G_even(p, m), p) - 1
+
+
+def _explicit_Nb(p, m, cls):
+    """The paper's N_b (lemmas 13-15 and 18) for b in cls and m >= 2, split by case.
+
+    For odd m, a disc cell with t2 != 0 has eta(-t2) = eta(-m) when p does not
+    divide m, and t1 = 0 when it does.
+    """
+    pm2 = p ** (m - 2)
+    t2, t1 = cls.t2 % p, cls.t1 % p
+    if m % 2:
+        GG = GGbar_odd(p, m)
+        if t2 == 0:
+            return pm2 + (t1 == 0) * _exact(legendre(-m, p) * GG, p)
+        return pm2 + legendre(-t2, p) * (p - 1 if cls.disc else -1) * _exact(GG, p * p)
+    gp = _exact(G_even(p, m), p)
+    if t2 and m % p:
+        # eta(0) = 0 on the disc cells
+        return pm2 + legendre(t1 * t1 - m * t2, p) * gp
+    if t2:
+        return pm2 + (t1 != 0) * gp
+    return pm2 + (t1 == 0) * (p - 1 if m % p == 0 else -1) * gp
+
+
+def _one_class_per_case_key(p, m):
+    """A BClass at one cell (t2, t1) of each realized case key: t2 = 0, t1 = 0, eta(-t2)
+    and eta(m t2 - t1^2), on which lemma 9 and the explicit N_b depend."""
+    eta = np.array([legendre(a, p) for a in range(p)])
+    t2, t1 = np.arange(p)[:, None], np.arange(p)
+    key = ((2 * (t2 == 0) + (t1 == 0)) * 3 + eta[-t2 % p]) * 3 + eta[(m * t2 - t1 * t1) % p]
+    first = np.full(key.max() + 1, -1)
+    first[key.ravel()] = np.arange(p * p)
+    return [BClass(c2, c1, disc_of(p, m, c2, c1))
+            for c2, c1 in (divmod(c, p) for c in first[first >= 0].tolist())]
+
+
 def test_lengths_and_class_values_follow_from_lemmas_8_and_9_past_enumeration():
-    # summing zeta^(y tr(x^2 + x) + z tr(bx)) over y, z in F_p and x in F_q gives
-    # p n0 = q + lemma 8 with n0 = n + 1, and p^2 N_b = q + lemma 8 + B_b for b != 0.
-    # The scalar forms are evaluated because class_tables' int64 overflows here, at
-    # one cell (t2, t1) per case key: t2 = 0, t1 = 0, eta(-t2) and eta(m t2 - t1^2)
+    # predicted_length and lemma_Nb_predicted are read off lemmas 8 and 9: summing
+    # zeta^(y tr(x^2 + x) + z tr(bx)) over y, z in F_p and x in F_q gives p n0 = q + lemma 8
+    # with n0 = n + 1, and p^2 N_b = q + lemma 8 + B_b for b != 0.  Both equal the paper's
+    # explicit forms, N_b at one class per case key
     tables = cells = 0
-    for p, sweep in itertools.groupby(closed_form_sweep(2), key=lambda entry: entry[0]):
-        eta = np.array([legendre(a, p) for a in range(p)])
-        t2, t1 = np.arange(p)[:, None], np.arange(p)
-        head = (2 * (t2 == 0) + (t1 == 0)) * 3 + eta[-t2 % p]
-        for _, m in sweep:
-            q, lemma8 = p ** m, lemma8_value(p, m)
-            n0, rem = divmod(q + lemma8, p)
-            assert rem == 0 and predicted_length(p, m) == n0 - 1, (p, m)
-            key = head * 3 + eta[(m * t2 - t1 * t1) % p]
-            first = np.full(key.max() + 1, -1)
-            first[key.ravel()] = np.arange(p * p)
-            for c2, c1 in (divmod(c, p) for c in first[first >= 0].tolist()):
-                cls = BClass(c2, c1, disc_of(p, m, c2, c1))
-                assert (p * p * lemma_Nb_predicted(p, m, cls)
-                        == q + lemma8 + lemma9_B(p, m, cls)), (p, m, c2, c1)
-                cells += 1
-            tables += 1
+    for p, m in closed_form_sweep(2):
+        assert predicted_length(p, m) == _explicit_length(p, m), (p, m)
+        for cls in _one_class_per_case_key(p, m):
+            assert lemma_Nb_predicted(p, m, cls) == _explicit_Nb(p, m, cls), (p, m, cls)
+            cells += 1
+        tables += 1
     assert (tables, cells) == (1043, 9021)
 
 
@@ -411,6 +446,20 @@ def test_class_tables_equal_the_scalar_forms_at_sampled_cells(p):
                                               lemma_Nb_predicted(p, m, cls)], (p, m, cls)
 
 
+def test_class_tables_hold_every_entry_whose_values_fit_int64():
+    # N_b is about p^(m-2), so the int64 table holds it through (3,41), (5,29) and (7,24),
+    # where q = p^m is already past 2^63 (at (5,27) and (7,22) it is just below): N_b is
+    # read off B in Python ints, not in int64 arrays over q.  One step further it raises
+    for p, m in [(3, 41), (5, 27), (5, 29), (7, 22), (7, 24)]:
+        table = class_tables(p, m)
+        for cls in _one_class_per_case_key(p, m):
+            assert table[cls.t2, cls.t1].tolist() == [lemma9_B(p, m, cls),
+                                                      lemma_Nb_predicted(p, m, cls)], (p, m, cls)
+    for p, m in [(3, 42), (3, 45), (5, 30), (7, 25)]:
+        with pytest.raises(OverflowError):
+            class_tables(p, m)
+
+
 def test_lemma16_examples_and_oracle():
     assert lemma16_uc(3, 3, 0) == 9
     assert lemma16_uc(3, 3, 1) == 6
@@ -543,7 +592,7 @@ def test_prediction_matches_enumeration(p, m):
     ds = defining_set(field(p, m))
     brute = brute_weight_distribution(ds)
     assert predicted_distribution(p, m).with_zero_word() == brute
-    assert transform_weight_distribution(ds) == brute
+    assert ds.weight_distribution == brute
 
 
 @pytest.mark.parametrize("p,m", EXACT_SWEEP_FIELDS + SLOW_SWEEP_FIELDS)
@@ -553,7 +602,7 @@ def test_theorems_hold_on_every_small_field(p, m):
     pred = predicted_distribution(p, m)
     ds = defining_set(FieldCtx(p, m, max_q=p ** m))
     assert ds.n == pred.n and ds.dimension == pred.dimension
-    assert transform_weight_distribution(ds) == pred.with_zero_word()
+    assert ds.weight_distribution == pred.with_zero_word()
 
 
 def _inverse_mod_p(a, p):

@@ -10,8 +10,7 @@ from defset.codes import (DefiningSet, WeightDistribution, brute_weight_distribu
                           codeword, count_Nb, defining_set, distribution_csv,
                           dual_distance_two, export_defining_set,
                           power_moment_check, secret_sharing_ratio, transform_Nc,
-                          transform_weight_distribution, weight_of,
-                          weight_enumerator_string)
+                          weight_of, weight_enumerator_string)
 from defset.errors import EmptyDistribution
 from defset.fields import DEFAULT_MAX_Q, FieldCtx, field, irreducible_polys, is_prime
 
@@ -115,12 +114,12 @@ def test_brute_force_reference_reads_no_quadratic_trace_form(p, m):
     # that the transform counts over, but not the reference, which reads
     # tr(b*d) as sum_i b_i tr(alpha^i d) through tr(x) and C^i alone
     good = defining_set(field(p, m))
-    truth = transform_weight_distribution(good)
+    truth = good.weight_distribution
     bad_ctx = FieldCtx(p, m)
     bad_ctx._trace_form = bad_ctx._trace_form[::-1, ::-1]
     bad = DefiningSet(bad_ctx, good.elements)
     assert brute_weight_distribution(bad) == truth
-    assert transform_weight_distribution(bad) != truth
+    assert bad.weight_distribution != truth
     assert all(np.array_equal(codeword(bad, b), codeword(good, b)) for b in range(good.ctx.q))
 
 
@@ -128,7 +127,7 @@ def test_brute_force_reference_reads_no_quadratic_trace_form(p, m):
 def test_transform_matches_brute_force_under_second_modulus(p, m):
     modulus = list(itertools.islice(irreducible_polys(p, m), 2))[1]
     ds = defining_set(FieldCtx(p, m, modulus=modulus))
-    assert transform_weight_distribution(ds) == brute_weight_distribution(ds)
+    assert ds.weight_distribution == brute_weight_distribution(ds)
 
 
 @pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (3, 4), (7, 2), (5, 1), (7, 1)])

@@ -31,16 +31,16 @@ def test_claims_dual_on_theorems_2_and_4_except_53():
     thm_2_4 = {(p, m) for p, m in README_GRID if THEOREM_NUMBER[classify(p, m)] in (2, 4)}
     assert (5, 3) in thm_2_4
     assert asserted_at("dual") == thm_2_4 - {(5, 3)}
-    # the exception stated by hand (m = 3, p = 2 mod 3) is exactly where lemma 10 gives
-    # N(0, 0) = 1: only x = 0 has tr(x) = tr(x^2) = 0, so no two coordinates are
-    # proportional.  Every odd p < 200 and m >= 2 with p^m <= 10^40
+    # the gate reads lemma 10's N(0, 0) > 1 (some x != 0 has tr(x) = tr(x^2) = 0);
+    # it names no exception, and gives the one stated by hand (m = 3, p = 2 mod 3).
+    # Every odd p < 200 and m >= 2 with p^m <= 10^40
     fields = 0
     for p in filter(is_prime, range(3, 200)):
         m = 2
         while p ** m <= 10 ** 40:
-            derived = (m > 2 and THEOREM_NUMBER[classify(p, m)] in (2, 4)
-                       and lemma10_N0a(p, m, 0) > 1)
-            assert FAMILIES["dual"].gate(p, m) == derived, (p, m)
+            by_hand = (m > 2 and THEOREM_NUMBER[classify(p, m)] in (2, 4)
+                       and not (m == 3 and p % 3 == 2))
+            assert FAMILIES["dual"].gate(p, m) == by_hand, (p, m)
             fields, m = fields + 1, m + 1
     assert fields == 1043
 
@@ -160,7 +160,8 @@ def test_lemma_suite_reads_nb_of_each_class(p, m):
 
 def test_verify_evaluates_no_scalar_closed_form_per_class(monkeypatch):
     # the lemma-9 and N_b closed values come from class_tables, which evaluates
-    # each scalar form once per realized case key (at most 36), not once per class
+    # lemma9_B once per realized case key (at most 36), not once per class, and
+    # reads each N_b off its B without calling lemma_Nb_predicted
     fields = [(17, 3), (139, 2)]
     assert [len(realized_b_classes(field(p, m))) for p, m in fields] == [288, 9729]
     calls = {}
@@ -184,7 +185,7 @@ def test_verify_evaluates_no_scalar_closed_form_per_class(monkeypatch):
         calls.update(lemma9_B=0, lemma_Nb_predicted=0)
         rep = run_verification(p, m)
         assert rep.passed and any(c.id == "lemma9" for c in rep.lemma_checks)
-        assert 0 < min(calls.values()) and max(calls.values()) <= 36, (p, m, calls)
+        assert 1 <= calls["lemma9_B"] <= 36 and calls["lemma_Nb_predicted"] == 0, (p, m, calls)
 
 
 def test_lemma_checks_read_like_the_list_of_their_rows():

@@ -259,7 +259,9 @@ def lemma17_vc(p: int, m: int, c: int) -> int:
 # --- predicted code parameters -----------------------------------------------
 
 def predicted_length(p: int, m: int) -> int:
-    """n = n0 - 1, where p * n0 = q + lemma 8 (x = 0 lies in D0 but not in D)."""
+    """n = n0 - 1, where p * n0 = q + lemma 8 (x = 0 lies in D0 but not in D), for m >= 1."""
+    if m < 1:
+        raise CaseMismatch(f"closed form needs m >= 1, got m={m}")
     return _exact_div(p ** m + lemma8_value(p, m), p) - 1
 
 

@@ -20,8 +20,10 @@ from .fields import FieldCtx, is_prime
 class DefiningSet:
     """D with its coordinates fixed in ascending canonical-index order.
 
-    DefiningSet(ctx) is D of ctx: n = |D| is counted on the tr(x^2 + x) table,
-    and `elements`, D's index array, is built on first read.  Only `build`'s
+    DefiningSet(ctx) is D of ctx: n = |D| is read off the anti-diagonal
+    tr(x^2) + tr(x) = 0 of `FieldCtx.trace_pair_counts` for m >= 2, and counted
+    on the tr(x^2 + x) table at m = 1, where that p x p table would outgrow F_q.
+    `elements`, D's index array, is built on first read.  Only `build`'s
     export, `dimension`, `trace_basis` and the brute-force reference read it,
     so `verify` lists no D.  DefiningSet(ctx, elements) takes a given index array.
     `nc` and `weight_distribution` are likewise computed on first read.
@@ -31,7 +33,12 @@ class DefiningSet:
         self.ctx = ctx
         if elements is None:
             # x = 0 is always in D0 = {x : tr(x^2 + x) = 0}, and D is D0 without it
-            self.n = int(np.count_nonzero(ctx.trace_x2_plus_x == 0)) - 1
+            if ctx.m < 2:
+                n0 = np.count_nonzero(ctx.trace_x2_plus_x == 0)
+            else:
+                s = np.arange(ctx.p)
+                n0 = ctx.trace_pair_counts[s, -s % ctx.p].sum()
+            self.n = int(n0) - 1
         else:
             self.elements = elements
             self.n = int(elements.size)
@@ -211,13 +218,13 @@ def dual_distance_two(ds: DefiningSet) -> bool:
 
     0 is never in D, so the dual code has no weight-1 word; a proportional
     pair d_i = lambda * d_j is exactly a weight-2 dual word, which decides
-    whether the dual minimum distance equals 2.
+    whether the dual minimum distance equals 2.  Such a pair exists iff the
+    cell H[0, 0] of `FieldCtx.trace_pair_counts` exceeds 1; that table needs m >= 2.
     """
     # d and lambda*d in D with lambda != 0, 1 give (lambda^2 - lambda)*tr(d^2) = 0,
     # so tr(d^2) = tr(d) = 0; conversely every multiple of such a d != 0 is in D.
-    # x = 0 is always one solution
-    ctx = ds.ctx
-    return int(np.count_nonzero((ctx.trace_x2 == 0) & (ctx.trace_table == 0))) > 1
+    # x = 0 is always one of the H[0, 0] solutions
+    return int(ds.ctx.trace_pair_counts[0, 0]) > 1
 
 
 def secret_sharing_ratio(dist: WeightDistribution, p: int) -> tuple[int, int, bool]:

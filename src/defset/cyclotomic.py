@@ -130,7 +130,8 @@ def gauss_sum_exact(ctx: FieldCtx) -> CycInt:
 
     Evaluated as sum over y in F_q of zeta_p^tr(y^2): an element x != 0 has
     1 + eta(x) square roots, and sum over x of zeta_p^tr(x) = 0, so the two
-    sums agree (Lidl & Niederreiter, Finite Fields, Thm 5.33).
+    sums agree (Lidl & Niederreiter, Finite Fields, Thm 5.33).  Its coefficients
+    are `FieldCtx.trace_x2_counts`, the row sums of H for m >= 2.
     """
     return CycInt(ctx.p, ctx.trace_x2_counts)
 

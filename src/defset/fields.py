@@ -223,6 +223,10 @@ class FieldCtx:
     once, into a table of the narrowest of those types that holds p - 1.  x*y
     has the digits sum_i x_i C^i digits(y), C the companion matrix (Lidl &
     Niederreiter, Finite Fields, ch. 2), so no multiplicative table is built.
+
+    Tables are built on first read.  A `verify` pass at m >= 2 builds tr(x),
+    tr(x^2), the pair key and one histogram of it, H = `trace_pair_counts`;
+    n, the tr(x^2) histogram and the dual check are read off H.
     """
 
     def __init__(self, p: int, m: int, max_q: int = DEFAULT_MAX_Q,
@@ -358,13 +362,17 @@ class FieldCtx:
 
     @cached_property
     def trace_x2_counts(self) -> np.ndarray:
-        """u[c] = |{x : tr(x^2) = c}| for every c in F_p, counted in blocks (`_bincount`),
-        so no q-long int64 copy of tr(x^2) is made."""
-        return _bincount(self.trace_x2, self.p)
+        """u[c] = |{x : tr(x^2) = c}| for every c in F_p: the row sums of
+        `trace_pair_counts` for m >= 2.  At m = 1 that table would have p^2 > q
+        cells, so tr(x^2) is counted directly, in blocks (`_bincount`)."""
+        if self.m < 2:
+            return _bincount(self.trace_x2, self.p)
+        return self.trace_pair_counts.sum(axis=1)
 
     @cached_property
     def trace_x2_plus_x(self) -> np.ndarray:
-        """tr(x^2 + x) for every index x (trace is additive)."""
+        """tr(x^2 + x) for every index x (trace is additive).  Read to list D, to
+        count n at m = 1 and by the reference kernels; `verify` builds none."""
         s = np.add(self.trace_x2, self.trace_table, dtype=self._work)
         return _mod(s, self.p).astype(self._dtype, copy=False)
 

@@ -730,7 +730,7 @@ def assert_only_trace_forms(ctx):
     # of one, or the digit place values the forms are built from; the companion-matrix
     # powers are built only by what multiplies
     arrays = {k for k, v in vars(ctx).items() if isinstance(v, np.ndarray)}
-    assert {"trace_table", "trace_x2", "trace_x2_plus_x"} <= arrays
+    assert {"trace_table", "trace_x2", "trace_pair_key", "trace_pair_counts"} <= arrays
     assert arrays <= {"_pows", "_trace_form", "trace_table", "trace_x2",
                       "trace_x2_plus_x", "trace_x2_counts", "trace_pair_key",
                       "trace_pair_counts"}
@@ -749,12 +749,15 @@ def test_gauss_and_dual_leave_only_trace_forms_on_the_field():
     ctx = FieldCtx(3, 8)
     assert all(c.match for c in gauss_checks(ctx)[3])
     assert dual_distance_two(defining_set(ctx))
+    # n, the Gauss sum and the dual check read H: no tr(x^2 + x) table is built
+    assert "trace_x2_plus_x" not in vars(ctx)
     assert_only_trace_forms(ctx)
 
 
 def test_verify_leaves_only_trace_forms_on_the_field():
     field.cache_clear()
     assert run_verification(3, 4).passed
+    assert "trace_x2_plus_x" not in vars(field(3, 4))
     assert_only_trace_forms(field(3, 4))
 
 

@@ -55,6 +55,15 @@ def test_predicted_length(p, m, n):
     assert predicted_length(p, m) == n
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_predicted_length_checks_its_degree(p):
+    # at m = 1, D = {x != 0 : x^2 + x = 0} = {-1}
+    assert predicted_length(p, 1) == 1
+    for m in (0, -1, -2):
+        with pytest.raises(CaseMismatch, match=f"m={m}$"):
+            predicted_length(p, m)
+
+
 @pytest.mark.parametrize("p,m,rows", [
     (3, 6, {162: 98, 171: 324, 180: 306}),
     (5, 3, {14: 36, 15: 24, 16: 60, 19: 4}),

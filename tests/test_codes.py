@@ -11,8 +11,10 @@ from defset.codes import (DefiningSet, WeightDistribution, brute_weight_distribu
                           dual_distance_two, export_defining_set,
                           power_moment_check, secret_sharing_ratio, transform_Nc,
                           weight_of, weight_enumerator_string)
+from defset.cyclotomic import CycInt, gauss_sum_exact
 from defset.errors import EmptyDistribution
-from defset.fields import DEFAULT_MAX_Q, FieldCtx, field, irreducible_polys, is_prime
+from defset.fields import (DEFAULT_MAX_Q, FieldCtx, field, irreducible_polys, is_prime,
+                           legendre)
 
 
 @pytest.mark.parametrize("p,m,n", [(3, 3, 8), (3, 4, 29), (3, 2, 1), (3, 5, 71), (5, 3, 19)])
@@ -224,6 +226,29 @@ SMALL_FIELDS = [(p, m) for p in range(3, math.isqrt(DEFAULT_MAX_Q) + 1) if is_pr
 def test_dual_distance_two_matches_orbit_minimum(p, m):
     ds = defining_set(field(p, m))
     assert dual_distance_two(ds) == _dual_distance_two_by_orbit_minimum(ds)
+
+
+def test_counts_read_off_the_trace_pair_table_equal_the_direct_counts():
+    # n, the tr(x^2) histogram and the dual check read H[s, t] for m >= 2; the
+    # tables they once counted on must give the same numbers, under two moduli
+    # for (3,4) and (5,3)
+    ctxs = [field(p, m) for p, m in SMALL_FIELDS] + [
+        FieldCtx(p, m, modulus=list(itertools.islice(irreducible_polys(p, m), 2))[1])
+        for p, m in [(3, 4), (5, 3)]]
+    for ctx in ctxs:
+        ds = DefiningSet(ctx)
+        assert ds.n == np.count_nonzero(ctx.trace_x2_plus_x == 0) - 1, ctx
+        assert np.array_equal(ctx.trace_x2_counts,
+                              np.bincount(ctx.trace_x2, minlength=ctx.p)), ctx
+        zeros = np.count_nonzero((ctx.trace_x2 == 0) & (ctx.trace_table == 0))
+        assert dual_distance_two(ds) == (zeros > 1), ctx
+    # at m = 1, where H would have p^2 > q cells, both are counted directly:
+    # tr(x^2) = x^2 takes c on 1 + (c/p) elements, and x^2 + x = 0 at x = 0, -1 only
+    for p in (9973, 7):
+        ctx = FieldCtx(p, 1)
+        assert gauss_sum_exact(ctx) == CycInt(p, [1 + legendre(c, p) for c in range(p)])
+        assert DefiningSet(ctx).n == 1
+        assert "trace_pair_counts" not in vars(ctx)
 
 
 def test_secret_sharing_ratio():

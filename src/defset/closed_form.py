@@ -29,12 +29,11 @@ class CaseTag(enum.Enum):
     ODD_COPRIME = "odd_coprime"
 
 
-THEOREM_NUMBER = {
-    CaseTag.EVEN_DIVIDES: 1,
-    CaseTag.EVEN_COPRIME: 2,
-    CaseTag.ODD_DIVIDES: 3,
-    CaseTag.ODD_COPRIME: 4,
-}
+# the paper's numbering per case, in CaseTag's order: its theorem, the lemma that
+# states N_b, and the m from which the theorem claims w_min/w_max > (p-1)/p
+THEOREM_NUMBER = dict(zip(CaseTag, (1, 2, 3, 4)))
+_NB_LEMMA_ID = dict(zip(CaseTag, ("lemma13", "lemma14", "lemma15", "lemma18")))
+_SS_RATIO_FROM_M = dict(zip(CaseTag, (4, 6, 5, 5)))
 
 
 def classify(p: int, m: int) -> CaseTag:
@@ -47,9 +46,8 @@ def classify(p: int, m: int) -> CaseTag:
 class BClass:
     """Case data of an element b: t2 = tr(b^2), t1 = tr(b).
 
-    disc records whether (tr b)^2 = m * tr(b^2) in F_p.  It drives the odd-m
-    split of lemma9_B, and so of N_b, in both regimes (when p | m it means
-    t1 = 0); even m reads eta(t1^2 - m*t2), whose eta(0) = 0 covers it.
+    disc records whether (tr b)^2 = m * tr(b^2) in F_p.  It is a column of the
+    class rows in the report; no closed form reads it.
     """
 
     t2: int
@@ -131,26 +129,32 @@ def lemma8_value(p: int, m: int) -> int:
     return (p - 1 if m % p == 0 else -1) * G_even(p, m)
 
 
+def _lemma9(p: int, m: int, t2, t1, eta):
+    """(K, unit) with lemma 9's B = K * unit at the class (t2, t1); ints or arrays.
+
+    unit is G*Gbar for odd m and G for even m, and eta(a) is the Legendre symbol
+    of a mod p.  Completing the square in x and putting z = y*w gives K = sum over
+    w in F_p* of chi(P(w)), P(w) = t2*w^2 + 2*t1*w + m, with chi(s) = p*[s = 0] - 1
+    for even m and eta(-s) for odd m.  Over all w in F_p the sum is S if t2 != 0
+    (Lidl & Niederreiter, ch. 5), 0 if P is linear and p*chi(m) if P = m; K is
+    that sum less chi(m), the term w = 0.
+    """
+    d = t1 * t1 % p - m * t2 % p  # t1^2 - m*t2, in (-p, p)
+    if m % 2:
+        S, chi_m, unit = eta(-t2) * (p * (d == 0) - 1), legendre(-m, p), GGbar_odd(p, m)
+    else:
+        S, chi_m, unit = eta(d) * (p * (t2 != 0)), p * (m % p == 0) - 1, G_even(p, m)
+    return S + p * chi_m * (t2 == 0) * (t1 == 0) - chi_m, unit
+
+
 def lemma9_B(p: int, m: int, cls: BClass) -> int:
     """Closed value of B = sum over y,z in F_p*, x in F_q of chi(y*x^2 + y*x + b*z*x).
 
-    The value depends on b only through its BClass.  For odd m, eta(-m) = 0
+    The value depends on b only through (tr b^2, tr b); for odd m, eta(-m) = 0
     when p | m, which turns theorem 4's values into theorem 3's.
     """
-    t2, t1 = cls.t2 % p, cls.t1 % p
-    if m % 2:
-        GG, L = GGbar_odd(p, m), legendre(-m, p)
-        if t2 == 0:
-            return L * (p - 1 if t1 == 0 else -1) * GG
-        # grouping fixed against the enumeration oracle: -(eta(-t2) + eta(-m)) * G*Gbar off disc
-        return (legendre(-t2, p) * (p - 1 if cls.disc else -1) - L) * GG
-    G = G_even(p, m)
-    if t2 and m % p:
-        # eta(0) = 0 on the disc cells
-        return (legendre(t1 * t1 - m * t2, p) * p + 1) * G
-    # where m*t2 = 0 in F_p the sums over y and z in F_p* split, into p*[m = t2 = 0] - 1
-    # and p*[t1 = 0] - 1
-    return (p - 1 if t2 == 0 and m % p == 0 else -1) * (p - 1 if t1 == 0 else -1) * G
+    K, unit = _lemma9(p, m, cls.t2 % p, cls.t1 % p, lambda a: legendre(a, p))
+    return int(K) * unit
 
 
 def require_m2(p: int, m: int) -> int:
@@ -193,49 +197,41 @@ def lemma12_V(p: int, m: int) -> int:
     return (p - 1) * pm2 + (p - 1) ** 2 * t
 
 
-def _nb_from_B(p: int, pn0: int, B: int) -> int:
-    """|N_b| for b != 0 from lemma 9's B_b, with pn0 = p * n0 = q + lemma 8.
+def lemma_Nb_predicted(p: int, m: int, cls: BClass) -> int:
+    """Predicted |N_b| = |{x : tr(x^2+x) = 0 and tr(b*x) = 0}| for b in cls (lemmas 13-15, 18).
 
     Summing zeta_p^(y*tr(x^2 + x) + z*tr(b*x)) over y, z in F_p and x in F_q
-    gives p^2 * N_b.  The terms with z = 0 give p * n0, those with y = 0 and
-    z != 0 cancel (tr(b*x) is balanced), and the rest are B_b.
+    gives p^2 * N_b.  The terms with z = 0 give p * n0 = q + lemma 8, those with
+    y = 0 and z != 0 cancel (tr(b*x) is balanced), and the rest are B_b.
     """
-    return _exact_div(pn0 + B, p * p)
-
-
-def lemma_Nb_predicted(p: int, m: int, cls: BClass) -> int:
-    """Predicted |N_b| = |{x : tr(x^2+x) = 0 and tr(b*x) = 0}| for b in cls (lemmas 13-15, 18)."""
-    require_m2(p, m)
-    return _nb_from_B(p, p ** m + lemma8_value(p, m), lemma9_B(p, m, cls))
+    pm2 = require_m2(p, m)
+    return pm2 + _exact_div(lemma8_value(p, m) + lemma9_B(p, m, cls), p * p)
 
 
 def class_tables(p: int, m: int) -> np.ndarray:
     """(lemma 9's B, the case's N_b lemma) of every class (t2, t1), as a p x p x 2 int64 array.
 
-    `lemma9_B` depends on a class only through its case key: t2 = 0, t1 = 0,
-    eta(-t2) and eta(m*t2 - t1^2), with eta from one Legendre table of F_p.
-    It is evaluated once per realized key, at one cell with that key, N_b is
-    read off that B in Python ints as `lemma_Nb_predicted` reads it, and the
-    pairs are placed by one index.  No field is built and no count is read.
+    K is evaluated on the whole grid, with eta from one Legendre table of F_p,
+    and N_b is read off B as `lemma_Nb_predicted` reads it, so q never enters
+    int64.  No field is built and no count is read.
     """
-    require_m2(p, m)
+    pm2 = require_m2(p, m)
     eta = np.full(p, -1, dtype=np.int64)
     eta[0] = 0
     eta[np.arange(1, p) ** 2 % p] = 1
-    t2 = np.arange(p)[:, None]
-    t1 = np.arange(p)
-    eta_t2 = eta[-t2 % p]
-    eta_d = eta[(m % p * t2 - t1 * t1) % p]
-    idx = ((2 * (t2 == 0) + (t1 == 0)) * 3 + eta_t2 + 1) * 3 + eta_d + 1
-    cell = np.full(36, -1, dtype=np.int64)
-    cell[idx] = np.arange(p * p).reshape(p, p)
-    pn0 = p ** m + lemma8_value(p, m)
-    values = np.zeros((36, 2), dtype=np.int64)
-    for key in np.flatnonzero(cell >= 0).tolist():
-        c2, c1 = divmod(int(cell[key]), p)
-        B = lemma9_B(p, m, BClass(c2, c1, disc_of(p, m, c2, c1)))
-        values[key] = B, _nb_from_B(p, pn0, B)
-    return values[idx]
+    # eta's arguments lie in (-p, p), and a negative index reads eta mod p
+    K, unit = _lemma9(p, m, np.arange(p)[:, None], np.arange(p), eta.__getitem__)
+    lemma8 = lemma8_value(p, m)
+    # B, lemma 8 + B and N_b are monotone in K: where they fit int64 at its
+    # extremes they fit at every cell, and past int64 this raises OverflowError
+    np.array([(k * unit, lemma8 + k * unit, pm2 + (lemma8 + k * unit) // (p * p))
+              for k in (int(K.min()), int(K.max()))], dtype=np.int64)
+    B = K * unit
+    num = lemma8 + B  # p^2 * (N_b - p^(m-2))
+    N = num // (p * p)
+    if (N * (p * p) != num).any():
+        raise NonIntegralTableEntry(f"lemma 8 + B is not divisible by {p * p} at p={p}, m={m}")
+    return np.stack([B, pm2 + N], axis=-1)
 
 
 def lemma16_uc(p: int, m: int, c: int) -> int:

@@ -13,19 +13,13 @@ import numpy as np
 
 from .codes import (ClassChecks, LemmaCheck, LemmaChecks, VerifyReport, defining_set,
                     dual_distance_two, power_moment_check, secret_sharing_ratio)
-from .closed_form import (ORACLES, CaseTag, Gbar_squared, THEOREM_NUMBER, class_tables,
-                          classify, disc_of, first_of_each_class, lemma8_value,
-                          lemma9_from_counts, lemma10_N0a, lemma11_counts, lemma12_V,
-                          lemma16_uc, lemma17_vc, predicted_distribution)
+from .closed_form import (_NB_LEMMA_ID, _SS_RATIO_FROM_M, ORACLES, Gbar_squared,
+                          THEOREM_NUMBER, class_tables, classify, disc_of, first_of_each_class,
+                          lemma8_value, lemma9_from_counts, lemma10_N0a, lemma11_counts,
+                          lemma12_V, lemma16_uc, lemma17_vc, predicted_distribution)
 from .cyclotomic import ClosedGauss, CycInt, embed_complex, gauss_closed, gauss_sum_exact
 from .fields import DEFAULT_MAX_Q, field
 
-_NB_LEMMA_ID = {
-    CaseTag.EVEN_DIVIDES: "lemma13",
-    CaseTag.EVEN_COPRIME: "lemma14",
-    CaseTag.ODD_DIVIDES: "lemma15",
-    CaseTag.ODD_COPRIME: "lemma18",
-}
 
 def run_lemma_suite(ctx, nc) -> LemmaChecks:
     """Compare every applicable closed form against its enumeration oracle on ctx.
@@ -118,8 +112,8 @@ FAMILIES = {
     # coordinates are proportional and the dual distance is 3: there it is only reported.
     "dual": Family(lambda p, m: m > 2 and m % p != 0 and lemma10_N0a(p, m, 0) > 1,
                    "dual_distance_two", lambda ds, pred: dual_distance_two(ds), bool),
-    # theorems 1, 2, 3, 4 claim w_min/w_max > (p-1)/p from m = 4, 6, 5, 5 on
-    "ss-ratio": Family(lambda p, m: m >= {1: 4, 2: 6, 3: 5, 4: 5}[THEOREM_NUMBER[classify(p, m)]],
+    # each theorem claims w_min/w_max > (p-1)/p only from some m on
+    "ss-ratio": Family(lambda p, m: m >= _SS_RATIO_FROM_M[classify(p, m)],
                        "ss_ratio", lambda ds, pred: secret_sharing_ratio(
                            ds.weight_distribution, ds.ctx.p), lambda ss: ss[2]),
 }

@@ -12,8 +12,8 @@ import pytest
 
 from defset import cli, codes, cyclotomic, fields, verify
 from defset.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from defset.closed_form import (PredictedDistribution, classify, first_of_each_class,
-                                predicted_distribution)
+from defset.closed_form import (_NB_LEMMA_ID, PredictedDistribution, classify,
+                                first_of_each_class, predicted_distribution)
 from defset.codes import (LemmaCheck, brute_weight_distribution, defining_set,
                           distribution_from_Nb, dual_distance_two, transform_Nc)
 from defset.fields import FieldCtx, field
@@ -705,7 +705,7 @@ def test_verify_builds_no_class_row_it_does_not_print(capsys, monkeypatch):
 @pytest.mark.parametrize("force", FORCED_MISMATCHES)
 def test_verify_text_builds_only_the_mismatched_class_rows(capsys, monkeypatch, force):
     # text lists exactly the mismatched rows, and builds no other column row
-    nb_id = verify._NB_LEMMA_ID[classify(71, 2)]
+    nb_id = _NB_LEMMA_ID[classify(71, 2)]
     made = count_lemma_checks(monkeypatch)
     force(monkeypatch)
     reports = record_reports(monkeypatch)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from defset import closed_form
 from defset.closed_form import (ORACLES, BClass, CaseTag, G_even, GGbar_odd, Gbar_squared,
                                 class_tables, classify, disc_of, lemma8_value, lemma9_B,
                                 lemma9_from_counts, lemma10_N0a, lemma11_counts, lemma12_V,
@@ -423,18 +424,19 @@ def test_lemma_Nb_oracle_all_classes(p, m):
         assert lemma_Nb_predicted(p, m, cls) == count_Nb(ctx, b), (cls, b)
 
 
-def test_class_tables_equal_the_scalar_forms_at_every_cell():
+def test_class_tables_equal_the_explicit_forms_at_every_cell():
     # every cell (t2, t1) of every odd p < 60 and 2 <= m <= 9, p | m in both parities
-    # among them; closed forms only, no field is built
+    # among them; closed forms only, no field is built.  N_b is the paper's explicit
+    # form and B is read off it, p^2 N_b = q + lemma 8 + B
     pairs = [(p, m) for p in range(3, 60) if is_prime(p) for m in range(2, 10)]
     assert {(3, 3), (3, 6), (3, 9), (5, 5), (7, 7)} <= {(p, m) for p, m in pairs if m % p == 0}
     for p, m in pairs:
         table = class_tables(p, m).tolist()
+        q, lemma8 = p ** m, lemma8_value(p, m)
         for t2 in range(p):
             for t1 in range(p):
-                cls = BClass(t2, t1, (t1 * t1 - m * t2) % p == 0)
-                assert table[t2][t1] == [lemma9_B(p, m, cls),
-                                         lemma_Nb_predicted(p, m, cls)], (p, m, cls)
+                nb = _explicit_Nb(p, m, BClass(t2, t1, (t1 * t1 - m * t2) % p == 0))
+                assert table[t2][t1] == [p * p * nb - q - lemma8, nb], (p, m, t2, t1)
 
 
 @pytest.mark.parametrize("p", [61, 67, 509, 1019, 1097])
@@ -466,6 +468,15 @@ def test_class_tables_hold_every_entry_whose_values_fit_int64():
                                                       lemma_Nb_predicted(p, m, cls)], (p, m, cls)
     for p, m in [(3, 42), (3, 45), (5, 30), (7, 25)]:
         with pytest.raises(OverflowError):
+            class_tables(p, m)
+
+
+def test_class_tables_refuse_an_entry_p_squared_does_not_divide(monkeypatch):
+    # p^2 divides lemma 8 + B at every cell; a lemma 8 off by one breaks that, loudly
+    lemma8 = lemma8_value
+    monkeypatch.setattr(closed_form, "lemma8_value", lambda p, m: lemma8(p, m) + 1)
+    for p, m in [(3, 3), (5, 4), (13, 2)]:
+        with pytest.raises(NonIntegralTableEntry):
             class_tables(p, m)
 
 

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from defset import cli, closed_form, codes, report, verify
-from defset.closed_form import (ORACLES, THEOREM_NUMBER, classify, lemma10_N0a,
+from defset.closed_form import (_NB_LEMMA_ID, ORACLES, THEOREM_NUMBER, classify, lemma10_N0a,
                                 realized_b_classes)
 from defset.codes import LemmaChecks, count_Nb, defining_set, transform_Nc
 from defset.fields import DEFAULT_MAX_Q, field, is_prime
-from defset.verify import _NB_LEMMA_ID, FAMILIES, run_lemma_suite, run_verification
+from defset.verify import FAMILIES, run_lemma_suite, run_verification
 
 README_GRID = [(3, 3), (3, 4), (3, 5), (3, 6), (3, 8), (5, 3), (5, 4), (5, 5), (7, 3), (7, 4)]
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -160,8 +160,7 @@ def test_lemma_suite_reads_nb_of_each_class(p, m):
 
 def test_verify_evaluates_no_scalar_closed_form_per_class(monkeypatch):
     # the lemma-9 and N_b closed values come from class_tables, which evaluates
-    # lemma9_B once per realized case key (at most 36), not once per class, and
-    # reads each N_b off its B without calling lemma_Nb_predicted
+    # lemma 9 on the whole class grid at once: no scalar closed form is called
     fields = [(17, 3), (139, 2)]
     assert [len(realized_b_classes(field(p, m))) for p, m in fields] == [288, 9729]
     calls = {}
@@ -185,7 +184,7 @@ def test_verify_evaluates_no_scalar_closed_form_per_class(monkeypatch):
         calls.update(lemma9_B=0, lemma_Nb_predicted=0)
         rep = run_verification(p, m)
         assert rep.passed and any(c.id == "lemma9" for c in rep.lemma_checks)
-        assert 1 <= calls["lemma9_B"] <= 36 and calls["lemma_Nb_predicted"] == 0, (p, m, calls)
+        assert calls == {"lemma9_B": 0, "lemma_Nb_predicted": 0}, (p, m, calls)
 
 
 def test_lemma_checks_read_like_the_list_of_their_rows():

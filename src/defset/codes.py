@@ -162,7 +162,8 @@ def brute_weight_distribution(ds: DefiningSet) -> WeightDistribution:
 
 
 def dft_prime(p: int, n0: int) -> int:
-    """The smallest prime l = 1 (mod p) above p*n0, if p*l^2 < 2^53 keeps float64 sums exact."""
+    """The smallest prime l = 1 (mod p) above p*n0, if p*l^2 < 2^53: then a pass of
+    `transform_Nc` over entries reduced mod l sums p products below l^2 exactly."""
     ell = next(filter(is_prime, itertools.count(p * n0 + 1, p)))
     if p * ell * ell >= 2 ** 53:
         raise FieldTooLarge(f"the exact transform needs p*l^2 < 2^53, but p={p} and l={ell}")
@@ -176,10 +177,13 @@ def transform_Nc(ds: DefiningSet) -> np.ndarray:
     p at 0 and to 0 elsewhere (MacWilliams & Sloane, ch. 5), so
     p*N_c = n0 + F(c), with F the DFT of f(x) = |{y in F_p* : y*x in D0}|:
     y*x is in D0 iff y*tr(x^2) + tr(x) = 0, so f(x) is p - 1 where
-    tr(x^2) = tr(x) = 0, 1 where neither vanishes, and 0 elsewhere.  As
-    tr(b*x) = <c(b), x> (`FieldCtx.trace_dual`), N_b = N_(c(b)), and b -> c(b)
-    is a permutation that fixes 0.  n0 + F(c) = p*N_c in [0, p*n0] is its own
-    residue mod l > p*n0: the DFT over F_l, omega of order p for zeta (Pollard 1971).
+    tr(x^2) = tr(x) = 0, 1 where neither vanishes, and 0 elsewhere, read off
+    `FieldCtx.trace_pair_key`.  As tr(b*x) = <c(b), x> (`FieldCtx.trace_dual`),
+    N_b = N_(c(b)), and b -> c(b) is a permutation that fixes 0.
+    n0 + F(c) = p*N_c in [0, p*n0] is its own residue mod l > p*n0: the DFT
+    over F_l, omega of order p for zeta (Pollard 1971).  It is m float64
+    passes, one per digit, and reduces mod l only before a pass whose
+    entries could otherwise reach 2^53.
     """
     ctx = ds.ctx
     p, q, n0 = ctx.p, ctx.q, ds.n0
@@ -189,14 +193,33 @@ def transform_Nc(ds: DefiningSet) -> np.ndarray:
     omega = next(w for w in (pow(g, (ell - 1) // p, ell) for g in range(2, ell)) if w != 1)
     powers = np.array([pow(omega, k, ell) for k in range(p)], dtype=np.float64)
     w = powers[np.multiply.outer(np.arange(p), np.arange(p)) % p]
-    z2, z1 = ctx.trace_x2 == 0, ctx.trace_table == 0
-    spectrum = np.where(z2 & z1, p - 1.0, (~z2 & ~z1).astype(np.float64))
-    # one axis per pass on contiguous rows: the DFT runs over the lowest digit,
-    # and the transpose moves that digit to the top, so m passes restore index order
+    f = np.zeros((p, p))  # f at key tr(x^2)*p + tr(x)
+    f[1:, 1:] = 1
+    f[0, 0] = p - 1
+    spectrum = f.ravel()[ctx.trace_pair_key]
+    # Every entry is a non-negative integer <= bound < 2^53, so each partial sum
+    # is exact in any BLAS order, and so is the floor reduction below.  A pass
+    # multiplies the bound by at most p*(l - 1); after a reduction it is l - 1,
+    # and p*l^2 < 2^53 (`dft_prime`) leaves room for one pass.
+    bound = p - 1
     for _ in range(ctx.m):
-        spectrum = spectrum.reshape(q // p, p) @ w
-        spectrum = (spectrum - np.floor(spectrum / ell) * ell).T
-    return (n0 + spectrum.reshape(q).astype(np.int64)) % ell // p
+        if p * bound * (ell - 1) >= 2 ** 53:
+            t = spectrum / ell
+            np.floor(t, out=t)
+            t *= ell
+            spectrum -= t
+            del t
+            bound = ell - 1
+        # the DFT over the lowest digit, written as the new leading axis, so m
+        # passes restore index order and no reshape copies
+        spectrum = np.matmul(w, spectrum.reshape(q // p, p).T)
+        bound *= p * (ell - 1)
+    nc = spectrum.reshape(q).astype(np.int64)
+    del spectrum
+    nc += n0
+    nc %= ell
+    nc //= p
+    return nc
 
 
 def distribution_from_Nb(ds: DefiningSet, nb: np.ndarray) -> WeightDistribution:

@@ -2,15 +2,17 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from defset.codes import (DefiningSet, WeightDistribution, brute_weight_distribution,
-                          codeword, count_Nb, defining_set, distribution_csv,
+                          codeword, count_Nb, defining_set, dft_prime, distribution_csv,
                           dual_distance_two, export_defining_set,
                           power_moment_check, secret_sharing_ratio, transform_Nc,
                           weight_of, weight_enumerator_string)
+from defset.closed_form import first_of_each_class
 from defset.cyclotomic import CycInt, gauss_sum_exact
 from defset.errors import EmptyDistribution
 from defset.fields import (DEFAULT_MAX_Q, FieldCtx, field, irreducible_polys, is_prime,
@@ -132,15 +134,65 @@ def test_transform_matches_brute_force_under_second_modulus(p, m):
     assert ds.weight_distribution == brute_weight_distribution(ds)
 
 
-@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (3, 4), (7, 2), (5, 1), (7, 1)])
+def _reduced_passes(p, m, n0):
+    """The passes of `transform_Nc` that reduce mod l first: those before which
+    the bound on the entries, p - 1 at the start and times p*(l - 1) per pass,
+    would reach 2^53 in the pass, after which it restarts at l - 1."""
+    ell = dft_prime(p, n0)
+    bound, reduced = p - 1, []
+    for k in range(m):
+        if p * bound * (ell - 1) >= 2 ** 53:
+            reduced.append(k)
+            bound = ell - 1
+        bound *= p * (ell - 1)
+    return reduced
+
+
+@pytest.mark.parametrize("p,m", [(3, 3), (5, 2), (3, 4), (7, 2), (5, 1), (7, 1),
+                                 (3, 7), (5, 5), (7, 4)])
 def test_transform_Nc_counts_each_orthogonal_hyperplane(p, m):
-    # N_c = |{x in D0 : sum_j c_j x_j = 0}| for every c, under two moduli
+    # N_c = |{x in D0 : sum_j c_j x_j = 0}| for every c, under two moduli; the
+    # fields of q <= 81 never reduce mod l, the three larger ones do before some pass
     for modulus in itertools.islice(irreducible_polys(p, m), 2):
         ctx = FieldCtx(p, m, modulus=modulus)
-        digits = np.array([ctx.element_digits(x) for x in range(ctx.q)])
+        ds = defining_set(ctx)
+        assert bool(_reduced_passes(p, m, ds.n0)) == (ctx.q > 81)
+        digits = ctx.element_digits(np.arange(ctx.q))
         d0 = digits[ctx.trace_x2_plus_x == 0]
         direct = np.count_nonzero(d0 @ digits.T % p == 0, axis=0)
-        assert np.array_equal(transform_Nc(defining_set(ctx)), direct)
+        assert np.array_equal(transform_Nc(ds), direct)
+
+
+def test_transform_Nc_reduces_before_every_later_pass():
+    # (61, 3): after the first pass every pass is preceded by a reduction mod l
+    p, m = 61, 3
+    ctx = FieldCtx(p, m, max_q=p ** m)
+    ds = defining_set(ctx)
+    assert _reduced_passes(p, m, ds.n0) == [1, 2]
+    nc = transform_Nc(ds)
+    first = first_of_each_class(ctx)
+    reps = first[first < ctx.q]
+    reps = [0] + reps[np.linspace(0, reps.size - 1, 12).astype(int)].tolist()
+    assert len(set(reps)) == 13
+    for b in reps:
+        assert nc[ctx.trace_dual(b)] == count_Nb(ctx, b), b
+
+
+def test_transform_Nc_holds_two_q_long_arrays():
+    # the float64 spectrum and one more 8-byte array (a pass's output, the
+    # reduction's temporary or the int64 tail) at a time: 16 bytes per element
+    ctx = FieldCtx(3, 10, max_q=3 ** 10)
+    ds = defining_set(ctx)
+    assert ctx.trace_pair_key.size == ctx.q  # the key, built first (n0 is counted on it)
+    tracemalloc.start()
+    try:
+        nc = transform_Nc(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * ctx.q, peak / ctx.q
+    # x = 0 is orthogonal to every c, each other x of D0 to q/p of them
+    assert nc[0] == ds.n0 and nc.sum() == ctx.q + (ds.n0 - 1) * (ctx.q // ctx.p)
 
 
 def test_transform_Nc_at_c_of_b_is_N_b():
